@@ -460,7 +460,7 @@ void AriaNode::send_assign(NodeId target, const grid::JobSpec& spec,
     if (overload_on() && admission_over()) {
       // The backlog crossed the watermark between the self-bid and this
       // decision; refuse locally exactly like a wire REJECT would.
-      ++counters_.rejects_sent;
+      ++counters_.assign_rejects;
       if (ctx_.observer) {
         ctx_.observer->on_rejected(spec.id, self_, ctx_.sim->now());
       }
@@ -802,7 +802,7 @@ void AriaNode::on_assign(NodeId from, const AssignMsg& msg) {
     // Retransmissions of an already-queued attempt fall through to the
     // normal path (they must be re-ACKed, not refused), hence the holds()
     // and dedup guards.
-    ++counters_.rejects_sent;
+    ++counters_.assign_rejects;
     if (ctx_.observer) {
       ctx_.observer->on_rejected(msg.job.id, self_, ctx_.sim->now());
     }
@@ -1610,7 +1610,7 @@ void AriaNode::region_report_tick() {
       member_loads_[self_] = MemberReport{load, ctx_.sim->now()};
       continue;
     }
-    ++counters_.load_reports_sent;
+    ++counters_.load_reports;
     ctx_.net->send(self_, cand, std::make_unique<RegionLoadMsg>(self_, load));
   }
 }
@@ -1725,7 +1725,7 @@ void AriaNode::send_region_query(const grid::JobSpec& spec,
       (attempt - 1) % std::max<std::size_t>(1, h.agg_standby);
   const NodeId cand =
       overlay::aggregator_candidate(my_region(), h.region_count, rank);
-  ++counters_.region_queries_sent;
+  ++counters_.region_queries;
   const auto att = static_cast<std::uint32_t>(attempt);
   if (cand == self_) {
     serve_region_query(self_, spec, att, 0);  // the initiator is its own
@@ -1858,7 +1858,7 @@ void AriaNode::solicit_region_reports() {
   // member that sees it answers with an immediate out-of-cycle REGION_LOAD.
   // The flood id comes from the hierarchy stream — this path only runs
   // after a churn restart, but the per-plane RNG discipline holds anyway.
-  ++counters_.region_pulls_sent;
+  ++counters_.region_pulls;
   const Uuid flood_id = Uuid::generate(hier_rng_);
   ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
   schedule_flood_gc(flood_id);
@@ -1879,7 +1879,7 @@ void AriaNode::on_region_pull(NodeId from, const RegionPullMsg& msg) {
   if (msg.from != self_) {
     const overlay::MemberLoad load{idle(), backlog_duration().to_seconds(),
                                    static_cast<std::uint32_t>(queue_length())};
-    ++counters_.load_reports_sent;
+    ++counters_.load_reports;
     ctx_.net->send(self_, msg.from,
                    std::make_unique<RegionLoadMsg>(self_, load));
   }

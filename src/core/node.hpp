@@ -15,6 +15,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -135,63 +136,10 @@ class AriaNode {
   /// Can this node, by profile and cost-family, bid on `job` at all?
   bool can_bid(const grid::JobSpec& job) const;
 
+  /// Protocol-event counters (fields: ARIA_NODE_COUNTERS,
+  /// common/counters.hpp; docs/counters.md).
   struct Counters {
-    std::uint64_t requests_initiated{0};
-    std::uint64_t requests_forwarded{0};
-    std::uint64_t accepts_sent{0};
-    std::uint64_t informs_initiated{0};
-    std::uint64_t informs_forwarded{0};
-    std::uint64_t assigns_sent{0};
-    std::uint64_t jobs_executed{0};
-    std::uint64_t reschedules_out{0};  // jobs this node gave away
-    std::uint64_t reschedules_in{0};   // jobs this node won via INFORM
-    std::uint64_t recoveries{0};       // failsafe re-submissions issued
-    std::uint64_t assign_acks_sent{0};   // ASSIGN_ACK replies (assign_ack on)
-    std::uint64_t assign_retries{0};     // ASSIGN retransmissions
-    std::uint64_t assign_rediscoveries{0};  // ACKs exhausted, re-flooded
-    std::uint64_t completion_replays{0};  // recovery floods answered with a
-                                          // replayed completion receipt
-    // --- overload plane (all zero when the plane is off) -----------------
-    std::uint64_t jobs_shed{0};          // bounded-queue evictions here
-    std::uint64_t sheds_rescheduled{0};  // shed jobs taken by an INFORM offer
-    std::uint64_t sheds_failsafe{0};     // shed bursts that fell back to
-                                         // a discovery round
-    std::uint64_t rejects_sent{0};       // ASSIGNs answered with REJECT
-    std::uint64_t reject_rediscoveries{0};  // REJECTed delegations re-floated
-    std::uint64_t bids_suppressed{0};    // ACCEPTs withheld while saturated
-    std::uint64_t peak_queue_depth{0};   // high-water mark of the local queue
-    // --- hierarchy plane (all zero when the plane is off) ----------------
-    std::uint64_t region_queries_sent{0};   // empty rounds escalated to an
-                                            // aggregator
-    std::uint64_t region_queries_served{0};  // REGION_QUERYs this aggregator
-                                             // answered
-    std::uint64_t region_forwards{0};    // REGION_FWDs sent to remote regions
-    std::uint64_t region_floods{0};      // remote-initiator floods started
-                                         // here on a REGION_FWD
-    std::uint64_t load_reports_sent{0};  // REGION_LOADs to own candidates
-    std::uint64_t digests_sent{0};       // REGION_DIGESTs broadcast
-    std::uint64_t digests_received{0};   // remote digests folded into the
-                                         // table
-    std::uint64_t wide_floods{0};        // scope-widened REQUEST floods
-                                         // (wide_flood_every retries)
-    // --- hierarchy chaos hardening (docs/hierarchy.md "Failure modes") ---
-    std::uint64_t region_pulls_sent{0};  // cold-restart REGION_PULL floods
-    std::uint64_t region_handoffs{0};    // queries bounced while cold/empty
-    std::uint64_t early_wide_escalations{0};  // wide floods forced by
-                                              // sustained aggregator silence
-    // --- adversary injection (zero when this node is honest) -------------
-    std::uint64_t adv_underbids{0};      // ACCEPT quotes scaled by the lie
-    std::uint64_t adv_informs_deflated{0};  // INFORM ads at deflated cost
-    std::uint64_t adv_assigns_swallowed{0};  // ASSIGNs ACKed then dropped
-    std::uint64_t adv_digests_poisoned{0};   // REGION_DIGESTs inflated
-    // --- defense plane (all zero when the plane is off) ------------------
-    std::uint64_t offers_distrusted{0};  // bids skipped: rep < suspicion
-    std::uint64_t stragglers_detected{0};  // quotes overrun past the deadline
-    std::uint64_t revokes_sent{0};       // kRevoke NOTIFYs (incl. retries)
-    std::uint64_t revoke_acks_sent{0};   // assignee side: jobs handed back
-    std::uint64_t hedges_dispatched{0};  // hedged ASSIGNs to runner-up bids
-    std::uint64_t digests_clamped{0};    // non-conserving digests rejected
-    std::uint64_t reputation_evictions{0};  // overlay evictions on suspicion
+    ARIA_NODE_COUNTERS(ARIA_COUNTER_FIELD)
   };
   const Counters& counters() const { return counters_; }
 

@@ -80,7 +80,7 @@ NeighborView::Transition NeighborView::record_miss(
   ++p.missed;
   if (p.missed >= params.evict_after) {
     p.state = PeerState::kEvicted;
-    ++stats_.evictions;
+    ++stats_.neighbor_evictions;
     return Transition::kEvicted;
   }
   if (p.missed >= params.suspect_after && p.state == PeerState::kLive) {

@@ -26,6 +26,7 @@
 #include <map>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/ids.hpp"
 #include "common/time.hpp"
 
@@ -58,13 +59,10 @@ enum class PeerState : std::uint8_t { kLive, kSuspected, kEvicted };
 
 class NeighborView {
  public:
-  /// Overlay-health counters, aggregated across nodes by the engine.
+  /// Overlay-health counters, aggregated across nodes by the engine
+  /// (fields: ARIA_HEALING_COUNTERS, common/counters.hpp).
   struct Stats {
-    std::uint64_t evictions{0};
-    std::uint64_t false_suspicions{0};  // suspected peer answered after all
-    std::uint64_t repair_links{0};      // links confirmed via LINK_ACK
-    std::uint64_t rejoin_requests{0};   // LINK_REQs sent while rejoining
-    std::uint64_t probe_rounds{0};
+    ARIA_HEALING_COUNTERS(ARIA_COUNTER_FIELD)
   };
 
   /// What one recorded miss did to a peer.

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -183,31 +184,18 @@ class FaultPlane {
     Duration extra_delay{};
   };
 
-  /// Injected-event totals, for reconciling metrics against the schedule.
+  /// Injected-event totals, for reconciling metrics against the schedule
+  /// (fields: ARIA_FAULT_COUNTERS, common/counters.hpp).
   struct Counters {
-    std::uint64_t lost{0};
-    std::uint64_t duplicated{0};
-    std::uint64_t delayed{0};
-    std::uint64_t partition_drops{0};
-    std::uint64_t crashes{0};
-    std::uint64_t restarts{0};
-    /// Subset of `crashes` caused by the targeted (role-aimed) schedule.
-    std::uint64_t targeted_crashes{0};
+    ARIA_FAULT_COUNTERS(ARIA_COUNTER_FIELD)
 
     std::uint64_t injected_drops() const { return lost + partition_drops; }
 
-    /// Field-wise sum — used after a sharded run to fold the per-shard
-    /// planes' message-fault tallies into the engine plane's counters
-    /// (which alone hold the churn-driven crash/restart counts).
-    void absorb(const Counters& other) {
-      lost += other.lost;
-      duplicated += other.duplicated;
-      delayed += other.delayed;
-      partition_drops += other.partition_drops;
-      crashes += other.crashes;
-      restarts += other.restarts;
-      targeted_crashes += other.targeted_crashes;
-    }
+    /// Field-wise fold by each entry's agg — used after a sharded run to
+    /// fold the per-shard planes' message-fault tallies into the engine
+    /// plane's counters (which alone hold the churn-driven crash/restart
+    /// counts).
+    void absorb(const Counters& other) { counters::fold_fault(*this, other); }
   };
 
   explicit FaultPlane(FaultConfig config);

@@ -55,6 +55,21 @@ void write_audit_by_kind(std::ostream& out,
   out << '}';
 }
 
+// One object per plane, counters in table order:
+// "fault":{"lost":0,...},"healing":{...},...
+void write_counters(std::ostream& out, const counters::Values& values) {
+  for (std::size_t i = 0; i < counters::kCount; ++i) {
+    const counters::Counter& c = counters::kTable[i];
+    if (i == 0 || c.plane != counters::kTable[i - 1].plane) {
+      out << (i == 0 ? "\"" : "},\"") << c.plane << "\":{";
+    } else {
+      out << ',';
+    }
+    out << '"' << c.name << "\":" << values[i];
+  }
+  out << '}';
+}
+
 }  // namespace
 
 SweepReport SweepReport::build(
@@ -86,18 +101,8 @@ SweepReport SweepReport::build(
     run.traffic_bytes = traffic.bytes;
     run.events_fired = r.events_fired;
     run.final_nodes = r.final_node_count;
-    run.digests_sent = r.digests_sent;
-    run.region_queries_served = r.region_queries_served;
-    run.region_forwards = r.region_forwards;
-    run.region_handoffs = r.region_handoffs;
-    run.region_pulls = r.region_pulls;
-    run.wide_floods = r.wide_floods;
-    run.early_wide_escalations = r.early_wide_escalations;
-    run.adv_assigns_swallowed = r.adv_assigns_swallowed;
-    run.hedges_dispatched = r.hedges_dispatched;
-    run.digests_clamped = r.digests_clamped;
     run.audit_violations = r.audit_violations;
-    report.runs.push_back(std::move(run));
+    run.counters = workload::counter_values(r);
 
     if (spec.rep_index != 0 &&
         (report.rows.empty() || report.rows.back().label != spec.label)) {
@@ -115,6 +120,8 @@ SweepReport SweepReport::build(
       report.rows.push_back(std::move(row));
     }
     RowSummary& row = report.rows.back();
+    counters::fold(row.counters, run.counters);
+    report.runs.push_back(std::move(run));
     ++row.runs;
     row.completed.add(static_cast<double>(r.completed()));
     row.completion_minutes.add(r.mean_completion_minutes());
@@ -126,16 +133,6 @@ SweepReport SweepReport::build(
     row.stranded += r.stranded();
     row.violations += r.tracker.violations().size();
     row.traffic.merge(r.traffic);
-    row.digests_sent += r.digests_sent;
-    row.region_queries_served += r.region_queries_served;
-    row.region_forwards += r.region_forwards;
-    row.region_handoffs += r.region_handoffs;
-    row.region_pulls += r.region_pulls;
-    row.wide_floods += r.wide_floods;
-    row.early_wide_escalations += r.early_wide_escalations;
-    row.adv_assigns_swallowed += r.adv_assigns_swallowed;
-    row.hedges_dispatched += r.hedges_dispatched;
-    row.digests_clamped += r.digests_clamped;
     row.audit_violations += r.audit_violations;
     for (const auto& [kind, count] : r.audit_by_kind) {
       row.audit_by_kind[kind] += count;
@@ -151,7 +148,7 @@ SweepReport SweepReport::build(
 }
 
 void SweepReport::write_json(std::ostream& out) const {
-  out << "{\"schema\":\"aria-sweep-report-v1\",\"rows\":[";
+  out << "{\"schema\":\"aria-sweep-report-v2\",\"rows\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RowSummary& row = rows[i];
     if (i != 0) out << ',';
@@ -173,19 +170,9 @@ void SweepReport::write_json(std::ostream& out) const {
     out << ',';
     write_stats(out, "traffic_mib", row.traffic_mib);
     out << ",\"stranded\":" << row.stranded
-        << ",\"violations\":" << row.violations
-        << ",\"hierarchy\":{\"digests_sent\":" << row.digests_sent
-        << ",\"region_queries_served\":" << row.region_queries_served
-        << ",\"region_forwards\":" << row.region_forwards
-        << ",\"region_handoffs\":" << row.region_handoffs
-        << ",\"region_pulls\":" << row.region_pulls
-        << ",\"wide_floods\":" << row.wide_floods
-        << ",\"early_wide_escalations\":" << row.early_wide_escalations
-        << "},\"adversary\":{\"assigns_swallowed\":"
-        << row.adv_assigns_swallowed
-        << ",\"hedges_dispatched\":" << row.hedges_dispatched
-        << ",\"digests_clamped\":" << row.digests_clamped
-        << "},\"audit\":{\"violations\":" << row.audit_violations
+        << ",\"violations\":" << row.violations << ',';
+    write_counters(out, row.counters);
+    out << ",\"audit\":{\"violations\":" << row.audit_violations
         << ",\"by_kind\":";
     write_audit_by_kind(out, row.audit_by_kind);
     out << "},\"traffic\":";
@@ -209,11 +196,9 @@ void SweepReport::write_summary_csv(std::ostream& out) const {
          "completion_min_mean,completion_min_stddev,"
          "waiting_min_mean,execution_min_mean,"
          "reschedules_mean,missed_deadlines_mean,"
-         "stranded,violations,traffic_mib_mean,"
-         "digests_sent,region_queries_served,region_forwards,"
-         "region_handoffs,region_pulls,wide_floods,"
-         "early_wide_escalations,adv_assigns_swallowed,hedges_dispatched,"
-         "digests_clamped,audit_violations\n";
+         "stranded,violations,traffic_mib_mean,audit_violations";
+  for (const counters::Counter& c : counters::kTable) out << ',' << c.name;
+  out << '\n';
   for (const RowSummary& row : rows) {
     out << row.label << ',' << row.scenario << ',' << row.runs << ','
         << row.nodes << ',' << row.jobs << ',' << row.base_seed << ','
@@ -225,12 +210,9 @@ void SweepReport::write_summary_csv(std::ostream& out) const {
         << fmt(row.reschedules.mean()) << ','
         << fmt(row.missed_deadlines.mean()) << ',' << row.stranded << ','
         << row.violations << ',' << fmt(row.traffic_mib.mean()) << ','
-        << row.digests_sent << ',' << row.region_queries_served << ','
-        << row.region_forwards << ',' << row.region_handoffs << ','
-        << row.region_pulls << ',' << row.wide_floods << ','
-        << row.early_wide_escalations << ',' << row.adv_assigns_swallowed
-        << ',' << row.hedges_dispatched << ',' << row.digests_clamped << ','
-        << row.audit_violations << '\n';
+        << row.audit_violations;
+    for (const std::uint64_t v : row.counters) out << ',' << v;
+    out << '\n';
   }
 }
 
@@ -238,10 +220,9 @@ void SweepReport::write_runs_csv(std::ostream& out) const {
   out << "label,scenario,seed,completed,completion_minutes,waiting_minutes,"
          "execution_minutes,reschedules,missed_deadlines,stranded,"
          "violations,traffic_messages,traffic_bytes,events_fired,"
-         "final_nodes,digests_sent,region_queries_served,region_forwards,"
-         "region_handoffs,region_pulls,wide_floods,early_wide_escalations,"
-         "adv_assigns_swallowed,hedges_dispatched,digests_clamped,"
-         "audit_violations\n";
+         "final_nodes,audit_violations";
+  for (const counters::Counter& c : counters::kTable) out << ',' << c.name;
+  out << '\n';
   for (const RunRow& run : runs) {
     out << run.label << ',' << run.scenario << ',' << run.seed << ','
         << run.completed << ',' << fmt(run.completion_minutes) << ','
@@ -250,12 +231,9 @@ void SweepReport::write_runs_csv(std::ostream& out) const {
         << run.stranded << ',' << run.violations << ','
         << run.traffic_messages << ',' << run.traffic_bytes << ','
         << run.events_fired << ',' << run.final_nodes << ','
-        << run.digests_sent << ',' << run.region_queries_served << ','
-        << run.region_forwards << ',' << run.region_handoffs << ','
-        << run.region_pulls << ',' << run.wide_floods << ','
-        << run.early_wide_escalations << ',' << run.adv_assigns_swallowed
-        << ',' << run.hedges_dispatched << ',' << run.digests_clamped << ','
-        << run.audit_violations << '\n';
+        << run.audit_violations;
+    for (const std::uint64_t v : run.counters) out << ',' << v;
+    out << '\n';
   }
 }
 

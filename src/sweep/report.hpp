@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/stats.hpp"
 #include "sim/traffic.hpp"
 #include "sweep/matrix.hpp"
@@ -39,20 +40,10 @@ struct RunRow {
   std::uint64_t traffic_bytes{0};
   std::uint64_t events_fired{0};
   std::size_t final_nodes{0};
-  // Hierarchy/overlay health (all zero when the hierarchy is off).
-  std::uint64_t digests_sent{0};
-  std::uint64_t region_queries_served{0};
-  std::uint64_t region_forwards{0};
-  std::uint64_t region_handoffs{0};  // cold-aggregator failovers taken
-  std::uint64_t region_pulls{0};
-  std::uint64_t wide_floods{0};
-  std::uint64_t early_wide_escalations{0};
-  // Adversary/defense planes (zero on honest / undefended runs).
-  std::uint64_t adv_assigns_swallowed{0};
-  std::uint64_t hedges_dispatched{0};
-  std::uint64_t digests_clamped{0};
   // Invariant auditor (zero when --audit is off; see docs/audit.md).
   std::uint64_t audit_violations{0};
+  /// Every plane counter, in counters::kTable order (docs/counters.md).
+  ::aria::counters::Values counters{};
 };
 
 /// Welford aggregate over one matrix row (every seed of one label).
@@ -76,18 +67,9 @@ struct RowSummary {
   std::uint64_t violations{0};  // summed lifecycle violations
   sim::TrafficLedger traffic;   // summed; divide by runs for per-run means
 
-  // Hierarchy/overlay health, summed over the row's runs.
-  std::uint64_t digests_sent{0};
-  std::uint64_t region_queries_served{0};
-  std::uint64_t region_forwards{0};
-  std::uint64_t region_handoffs{0};
-  std::uint64_t region_pulls{0};
-  std::uint64_t wide_floods{0};
-  std::uint64_t early_wide_escalations{0};
-  // Adversary/defense planes, summed over the row's runs.
-  std::uint64_t adv_assigns_swallowed{0};
-  std::uint64_t hedges_dispatched{0};
-  std::uint64_t digests_clamped{0};
+  /// Plane counters folded over the row's runs by each entry's agg (sum,
+  /// or max for high-water marks), in counters::kTable order.
+  ::aria::counters::Values counters{};
   // Auditor violations, summed plus per-kind (std::map => name-sorted).
   std::uint64_t audit_violations{0};
   std::map<std::string, std::uint64_t> audit_by_kind;

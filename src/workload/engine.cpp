@@ -568,16 +568,19 @@ void GridSimulation::schedule_sampling() {
                          });
 }
 
-// Piggybacks on the metrics sampler (no extra events): is the subgraph of
-// currently-alive nodes connected? Consecutive disconnected samples bound
-// the worst observed time-to-heal.
-void GridSimulation::sample_live_connectivity() {
-  const bool ok = topo_.connected_among([this](NodeId id) {
+bool GridSimulation::live_subgraph_connected() const {
+  return topo_.connected_among([this](NodeId id) {
     const proto::AriaNode* n =
         id.index() < nodes_.size() ? nodes_[id.index()] : nullptr;
     return n != nullptr && !n->crashed();
   });
-  if (ok) {
+}
+
+// Piggybacks on the metrics sampler (no extra events): is the subgraph of
+// currently-alive nodes connected? Consecutive disconnected samples bound
+// the worst observed time-to-heal.
+void GridSimulation::sample_live_connectivity() {
+  if (live_subgraph_connected()) {
     disconnect_streak_ = 0;
     return;
   }
@@ -596,7 +599,7 @@ void GridSimulation::sample_overload() {
   for (const auto& n : nodes_) {
     deepest = std::max<std::uint64_t>(deepest, n->queue_length());
     sheds += n->counters().jobs_shed;
-    rejects += n->counters().rejects_sent;
+    rejects += n->counters().assign_rejects;
   }
   queue_depth_series_.add(sim_.now(), static_cast<double>(deepest));
   shed_series_.add(sim_.now(), static_cast<double>(sheds));
@@ -621,51 +624,30 @@ RunResult GridSimulation::run() {
   r.traffic = net_->traffic();
   r.idle_series = idle_series_;
   r.node_count_series = node_count_series_;
+  // One fold per counter owner (common/counters.hpp). Counters (bar the
+  // peak_queue_depth gauge) stay zero while their plane is off, so the folds
+  // need no plane gates.
   if (faults_) {
     r.faults_enabled = true;
     r.faults = faults_->counters();
     r.faulted_messages = net_->faulted_messages();
     r.duplicated_messages = net_->duplicated_messages();
   }
-  r.submissions_dropped = submissions_dropped_;
-  if (config_.aria.failsafe) {
-    for (const auto& n : nodes_) {
-      r.completion_replays += n->counters().completion_replays;
-    }
+  for (const auto& n : nodes_) {
+    counters::fold_healing(r, n->neighbor_view().stats());
+    counters::fold_node(r, n->counters());
   }
+  r.submissions_dropped = submissions_dropped_;
   if (config_.aria.healing.enabled) {
     r.healing_enabled = true;
-    for (const auto& n : nodes_) {
-      const auto& s = n->neighbor_view().stats();
-      r.neighbor_evictions += s.evictions;
-      r.false_suspicions += s.false_suspicions;
-      r.repair_links += s.repair_links;
-      r.rejoin_requests += s.rejoin_requests;
-      r.probe_rounds += s.probe_rounds;
-    }
     r.live_disconnected_samples = live_disconnected_samples_;
     r.max_heal_minutes =
         static_cast<double>(max_disconnect_streak_) *
         config_.metrics_sample_period.to_minutes();
-    r.live_subgraph_connected_at_end = topo_.connected_among([this](NodeId id) {
-      const proto::AriaNode* n =
-          id.index() < nodes_.size() ? nodes_[id.index()] : nullptr;
-      return n != nullptr && !n->crashed();
-    });
+    r.live_subgraph_connected_at_end = live_subgraph_connected();
   }
   if (config_.aria.overload.enabled) {
     r.overload_enabled = true;
-    for (const auto& n : nodes_) {
-      const auto& c = n->counters();
-      r.jobs_shed += c.jobs_shed;
-      r.sheds_rescheduled += c.sheds_rescheduled;
-      r.sheds_failsafe += c.sheds_failsafe;
-      r.assign_rejects += c.rejects_sent;
-      r.reject_rediscoveries += c.reject_rediscoveries;
-      r.bids_suppressed += c.bids_suppressed;
-      r.peak_queue_depth =
-          std::max<std::uint64_t>(r.peak_queue_depth, c.peak_queue_depth);
-    }
     r.queue_depth_series = queue_depth_series_;
     r.shed_series = shed_series_;
     r.reject_series = reject_series_;
@@ -676,43 +658,12 @@ RunResult GridSimulation::run() {
     r.adversaries_enabled = true;
     for (const auto& n : nodes_) {
       if (n->adversary_role()) ++r.adversary_count;
-      const auto& c = n->counters();
-      r.adv_underbids += c.adv_underbids;
-      r.adv_informs_deflated += c.adv_informs_deflated;
-      r.adv_assigns_swallowed += c.adv_assigns_swallowed;
-      r.adv_digests_poisoned += c.adv_digests_poisoned;
     }
   }
-  if (config_.aria.defense.enabled) {
-    r.defense_enabled = true;
-    for (const auto& n : nodes_) {
-      const auto& c = n->counters();
-      r.offers_distrusted += c.offers_distrusted;
-      r.stragglers_detected += c.stragglers_detected;
-      r.revokes_sent += c.revokes_sent;
-      r.revoke_acks_sent += c.revoke_acks_sent;
-      r.hedges_dispatched += c.hedges_dispatched;
-      r.digests_clamped += c.digests_clamped;
-      r.reputation_evictions += c.reputation_evictions;
-    }
-  }
+  r.defense_enabled = config_.aria.defense.enabled;
   if (config_.aria.hierarchy.enabled) {
     r.hierarchy_enabled = true;
     r.region_count = config_.aria.hierarchy.region_count;
-    for (const auto& n : nodes_) {
-      const auto& c = n->counters();
-      r.region_queries += c.region_queries_sent;
-      r.region_queries_served += c.region_queries_served;
-      r.region_forwards += c.region_forwards;
-      r.region_floods += c.region_floods;
-      r.wide_floods += c.wide_floods;
-      r.load_reports += c.load_reports_sent;
-      r.digests_sent += c.digests_sent;
-      r.digests_received += c.digests_received;
-      r.region_pulls += c.region_pulls_sent;
-      r.region_handoffs += c.region_handoffs;
-      r.early_wide_escalations += c.early_wide_escalations;
-    }
     r.intra_region_messages = net_->intra_region_messages();
     r.cross_region_messages = net_->cross_region_messages();
     r.intra_region_bytes = net_->intra_region_bytes();

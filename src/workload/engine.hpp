@@ -9,6 +9,7 @@
 
 #include "audit/auditor.hpp"
 #include "common/arena.hpp"
+#include "common/counters.hpp"
 #include "common/rng.hpp"
 #include "core/centralized.hpp"
 #include "core/config.hpp"
@@ -47,26 +48,24 @@ struct RunResult {
   metrics::Series idle_series;        // idle-node count over time
   metrics::Series node_count_series;  // grid size over time (expansion)
 
+  // --- plane counters (common/counters.hpp; docs/counters.md) -----------
+  /// The fault table lives in its owner's struct (r.faults.lost, ...); the
+  /// healing and node tables are flat fields of the same names, summed (or
+  /// maxed) over every node.
+  sim::FaultPlane::Counters faults{};
+  ARIA_HEALING_COUNTERS(ARIA_COUNTER_FIELD)
+  ARIA_NODE_COUNTERS(ARIA_COUNTER_FIELD)
+
   // --- fault plane (zero / false on fault-free runs) --------------------
   bool faults_enabled{false};
-  sim::FaultPlane::Counters faults{};
   std::uint64_t faulted_messages{0};     // injected loss + partition drops
   std::uint64_t duplicated_messages{0};  // extra deliveries injected
   /// Submissions that found no alive node to accept them (whole-grid
   /// outage); these jobs never reach the tracker, so stranded() adds them.
   std::uint64_t submissions_dropped{0};
-  /// Failsafe recovery floods answered by an executor replaying the
-  /// completion receipt (the original NOTIFY never landed); each one is an
-  /// avoided duplicate execution.
-  std::uint64_t completion_replays{0};
 
   // --- self-healing overlay plane (all zero when healing is off) --------
   bool healing_enabled{false};
-  std::uint64_t neighbor_evictions{0};   // links dropped after missed probes
-  std::uint64_t false_suspicions{0};     // suspected peers that answered
-  std::uint64_t repair_links{0};         // links re-established via LINK_ACK
-  std::uint64_t rejoin_requests{0};      // LINK_REQs sent by restarted nodes
-  std::uint64_t probe_rounds{0};         // summed over nodes
   /// Metric samples at which the live-node subgraph was disconnected.
   std::uint64_t live_disconnected_samples{0};
   /// Longest consecutive disconnected streak, in minutes (an upper bound on
@@ -74,15 +73,8 @@ struct RunResult {
   double max_heal_minutes{0.0};
   bool live_subgraph_connected_at_end{true};
 
-  // --- overload plane (all zero when overload is off) -------------------
+  // --- overload plane (all empty when overload is off) ------------------
   bool overload_enabled{false};
-  std::uint64_t jobs_shed{0};            // bounded-queue evictions
-  std::uint64_t sheds_rescheduled{0};    // shed jobs taken by INFORM offers
-  std::uint64_t sheds_failsafe{0};       // shed bursts that re-flooded
-  std::uint64_t assign_rejects{0};       // ASSIGNs answered with REJECT
-  std::uint64_t reject_rediscoveries{0}; // REJECTed delegations re-floated
-  std::uint64_t bids_suppressed{0};      // ACCEPTs withheld while saturated
-  std::uint64_t peak_queue_depth{0};     // max over nodes and time
   metrics::Series queue_depth_series;    // max queue depth across nodes
   metrics::Series shed_series;           // cumulative sheds over time
   metrics::Series reject_series;         // cumulative REJECTs over time
@@ -91,18 +83,6 @@ struct RunResult {
   bool hierarchy_enabled{false};
   /// Resolved region count R (the engine writes auto-sizing back).
   std::size_t region_count{0};
-  std::uint64_t region_queries{0};        // empty rounds escalated cross-region
-  std::uint64_t region_queries_served{0}; // queries aggregators answered
-  std::uint64_t region_forwards{0};       // REGION_FWDs to remote aggregators
-  std::uint64_t region_floods{0};         // remote floods run for initiators
-  std::uint64_t wide_floods{0};           // scope-widened REQUEST floods
-  std::uint64_t load_reports{0};          // member REGION_LOADs sent
-  std::uint64_t digests_sent{0};          // REGION_DIGEST broadcasts
-  std::uint64_t digests_received{0};      // remote digests folded into tables
-  // Chaos-hardening telemetry (docs/hierarchy.md "Failure modes"):
-  std::uint64_t region_pulls{0};          // cold-restart REGION_PULL floods
-  std::uint64_t region_handoffs{0};       // queries bounced to the next rank
-  std::uint64_t early_wide_escalations{0};  // silence-forced wide floods
   /// Wire split by the sender/receiver region partition (see
   /// sim::Network::set_region_count).
   std::uint64_t intra_region_messages{0};
@@ -110,25 +90,12 @@ struct RunResult {
   std::uint64_t intra_region_bytes{0};
   std::uint64_t cross_region_bytes{0};
 
-  // --- adversary plane (all zero when no adversaries designated) --------
+  // --- adversary + defense planes ---------------------------------------
   bool adversaries_enabled{false};
   /// Nodes the stateless designation hash marked as adversaries (over the
   /// final grid, expansion joiners included).
   std::size_t adversary_count{0};
-  std::uint64_t adv_underbids{0};         // ACCEPT bids quoted below true cost
-  std::uint64_t adv_informs_deflated{0};  // INFORM/shed ads at deflated cost
-  std::uint64_t adv_assigns_swallowed{0}; // ASSIGNs black-holed
-  std::uint64_t adv_digests_poisoned{0};  // REGION_DIGESTs inflated
-
-  // --- defense plane (all zero when defenses are off) -------------------
   bool defense_enabled{false};
-  std::uint64_t offers_distrusted{0};     // ACCEPTs dropped below suspicion
-  std::uint64_t stragglers_detected{0};   // quoted-ETTC deadline expiries
-  std::uint64_t revokes_sent{0};          // REVOKE notifies (incl. retries)
-  std::uint64_t revoke_acks_sent{0};      // assignee-side surrendered jobs
-  std::uint64_t hedges_dispatched{0};     // duplicate ASSIGNs to runner-ups
-  std::uint64_t digests_clamped{0};       // digests rejected by sanity clamp
-  std::uint64_t reputation_evictions{0};  // overlay evictions on distrust
 
   // --- audit plane (all empty when auditing is off) ---------------------
   bool audit_enabled{false};
@@ -259,6 +226,7 @@ class GridSimulation {
   void expansion_step(const ScenarioConfig::Expansion& plan, Rng join_rng);
   void schedule_maintenance();
   void schedule_sampling();
+  bool live_subgraph_connected() const;
   void sample_live_connectivity();
   void sample_overload();
   void schedule_churn();
@@ -340,6 +308,30 @@ class GridSimulation {
 
 /// Convenience: run `scenario` once with `seed`.
 RunResult run_scenario(const ScenarioConfig& scenario, std::uint64_t seed);
+
+/// Calls f(entry, value) for every table counter of `r`, in
+/// counters::kTable order; `value` is a mutable reference when `r` is.
+template <class R, class F>
+void for_each_counter(R& r, F&& f) {
+  const counters::Counter* entry = counters::kTable;
+#define ARIA_VISIT_FAULT(plane, name, agg, doc) f(*entry++, r.faults.name);
+#define ARIA_VISIT(plane, name, agg, doc) f(*entry++, r.name);
+  ARIA_FAULT_COUNTERS(ARIA_VISIT_FAULT)
+  ARIA_HEALING_COUNTERS(ARIA_VISIT)
+  ARIA_NODE_COUNTERS(ARIA_VISIT)
+#undef ARIA_VISIT
+#undef ARIA_VISIT_FAULT
+}
+
+/// Every table counter of `r`, in counters::kTable order.
+inline counters::Values counter_values(const RunResult& r) {
+  counters::Values values{};
+  std::size_t i = 0;
+  for_each_counter(r, [&](const counters::Counter&, std::uint64_t v) {
+    values[i++] = v;
+  });
+  return values;
+}
 
 /// Canonical textual digest of every deterministic field of a RunResult —
 /// per-job lifecycle lines sorted by job id, per-type traffic, plane

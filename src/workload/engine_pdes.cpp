@@ -309,44 +309,24 @@ std::string run_fingerprint(const RunResult& r) {
   fp_series(os, r.shed_series);
   fp_series(os, r.reject_series);
 
-  os << "faults " << r.faults_enabled << " " << r.faults.lost << " "
-     << r.faults.duplicated << " " << r.faults.delayed << " "
-     << r.faults.partition_drops << " " << r.faults.crashes << " "
-     << r.faults.restarts << " " << r.faults.targeted_crashes << "\n";
+  os << "planes faults " << r.faults_enabled << " healing "
+     << r.healing_enabled << " overload " << r.overload_enabled
+     << " hierarchy " << r.hierarchy_enabled << " adversaries "
+     << r.adversaries_enabled << " defenses " << r.defense_enabled << "\n";
+  const counters::Values values = counter_values(r);
+  for (std::size_t i = 0; i < counters::kCount; ++i) {
+    os << "counter " << counters::kTable[i].name << " " << values[i] << "\n";
+  }
   os << "faulted_messages " << r.faulted_messages << " duplicated "
      << r.duplicated_messages << " submissions_dropped "
-     << r.submissions_dropped << " completion_replays " << r.completion_replays
-     << "\n";
-
-  os << "healing " << r.healing_enabled << " " << r.neighbor_evictions << " "
-     << r.false_suspicions << " " << r.repair_links << " "
-     << r.rejoin_requests << " " << r.probe_rounds << " "
-     << r.live_disconnected_samples << " " << fp_double(r.max_heal_minutes)
-     << " " << r.live_subgraph_connected_at_end << "\n";
-
-  os << "overload " << r.overload_enabled << " " << r.jobs_shed << " "
-     << r.sheds_rescheduled << " " << r.sheds_failsafe << " "
-     << r.assign_rejects << " " << r.reject_rediscoveries << " "
-     << r.bids_suppressed << " " << r.peak_queue_depth << "\n";
-
-  os << "hierarchy " << r.hierarchy_enabled << " " << r.region_count << " "
-     << r.region_queries << " " << r.region_queries_served << " "
-     << r.region_forwards << " " << r.region_floods << " " << r.wide_floods
-     << " " << r.load_reports << " " << r.digests_sent << " "
-     << r.digests_received << " " << r.region_pulls << " "
-     << r.region_handoffs << " " << r.early_wide_escalations << "\n";
-  os << "region_wire " << r.intra_region_messages << " "
-     << r.cross_region_messages << " " << r.intra_region_bytes << " "
+     << r.submissions_dropped << "\n";
+  os << "healing_extras " << r.live_disconnected_samples << " "
+     << fp_double(r.max_heal_minutes) << " "
+     << r.live_subgraph_connected_at_end << "\n";
+  os << "region_wire " << r.region_count << " " << r.intra_region_messages
+     << " " << r.cross_region_messages << " " << r.intra_region_bytes << " "
      << r.cross_region_bytes << "\n";
-
-  os << "adversaries " << r.adversaries_enabled << " " << r.adversary_count
-     << " " << r.adv_underbids << " " << r.adv_informs_deflated << " "
-     << r.adv_assigns_swallowed << " " << r.adv_digests_poisoned << "\n";
-
-  os << "defenses " << r.defense_enabled << " " << r.offers_distrusted << " "
-     << r.stragglers_detected << " " << r.revokes_sent << " "
-     << r.revoke_acks_sent << " " << r.hedges_dispatched << " "
-     << r.digests_clamped << " " << r.reputation_evictions << "\n";
+  os << "adversary_count " << r.adversary_count << "\n";
   return os.str();
 }
 

@@ -135,7 +135,7 @@ TEST(Overload, SaturatedAssigneeRejectsAndInitiatorRediscovers) {
   // The ASSIGN lands on a saturated node: explicit REJECT, immediate
   // re-flood by the delegator, and the job settles on node 2.
   g.run_for(10_s);
-  EXPECT_EQ(fast.counters().rejects_sent, 1u);
+  EXPECT_EQ(fast.counters().assign_rejects, 1u);
   EXPECT_EQ(g.node(0).counters().reject_rediscoveries, 1u);
   EXPECT_FALSE(fast.holds(id));
   EXPECT_TRUE(backup.holds(id));
@@ -182,7 +182,7 @@ TEST(Overload, RejectWithAssignAckCancelsRetransmissions) {
   fast.deliver_assignment(big2, NodeId{1});
 
   g.run_for(10_s);
-  EXPECT_EQ(fast.counters().rejects_sent, 1u);
+  EXPECT_EQ(fast.counters().assign_rejects, 1u);
   EXPECT_TRUE(backup.holds(id));
   EXPECT_EQ(g.node(0).counters().assign_retries, 0u);
   EXPECT_EQ(g.node(0).counters().assign_rediscoveries, 0u);
@@ -246,7 +246,7 @@ TEST(Overload, PlaneOffLeavesQueuesUnbounded) {
   }
   EXPECT_EQ(n.queue_length(), 4u);  // one executing, four queued, no sheds
   EXPECT_EQ(n.counters().jobs_shed, 0u);
-  EXPECT_EQ(n.counters().rejects_sent, 0u);
+  EXPECT_EQ(n.counters().assign_rejects, 0u);
   EXPECT_EQ(n.counters().bids_suppressed, 0u);
 }
 

@@ -37,7 +37,7 @@ TEST(NeighborView, MissedProbesSuspectThenEvict) {
   EXPECT_EQ(v.record_miss(NodeId{1}, p), NeighborView::Transition::kNone);
   EXPECT_EQ(v.record_miss(NodeId{1}, p), NeighborView::Transition::kEvicted);
   EXPECT_EQ(v.state(NodeId{1}), PeerState::kEvicted);
-  EXPECT_EQ(v.stats().evictions, 1u);
+  EXPECT_EQ(v.stats().neighbor_evictions, 1u);
   EXPECT_EQ(v.stats().false_suspicions, 0u);
 }
 
@@ -137,7 +137,7 @@ TEST(NeighborView, ClearWipesPeersButKeepsStats) {
   v.clear();
   EXPECT_EQ(v.tracked_count(), 0u);
   EXPECT_TRUE(v.contacts().empty());
-  EXPECT_EQ(v.stats().evictions, 1u);  // counters model the whole lifetime
+  EXPECT_EQ(v.stats().neighbor_evictions, 1u);  // counters model the whole lifetime
 }
 
 }  // namespace

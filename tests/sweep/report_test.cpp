@@ -146,7 +146,7 @@ TEST(SweepReport, JsonCarriesSchemaAndSortedTrafficTypes) {
   std::ostringstream out;
   report.write_json(out);
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema\":\"aria-sweep-report-v1\""),
+  EXPECT_NE(json.find("\"schema\":\"aria-sweep-report-v2\""),
             std::string::npos);
   EXPECT_EQ(json.back(), '\n');
 

@@ -137,225 +137,96 @@ int main(int argc, char** argv) {
     for (const auto& r : results) stranded += r.stranded();
   }
 
-  // Printed only when the fault plane ran, so fault-free output stays
-  // byte-identical to historical runs.
+  // Plane blocks (docs/README.md "Plane blocks"): one per plane that ran,
+  // gated on the plane's switch so plane-off output stays byte-identical to
+  // historical runs. Each lists the plane's table counters
+  // (docs/counters.md) totalled over the runs, then its derived extras.
+  using workload::RunResult;
+  counters::Values totals{};
+  std::uint64_t recoveries = 0, abandoned = 0, rejected = 0;
+  double probe_mib = 0.0, region_mib = 0.0, max_heal = 0.0;
+  bool end_connected = true;
+  for (const auto& r : results) {
+    counters::fold(totals, workload::counter_values(r));
+    recoveries += r.tracker.total_recoveries();
+    abandoned += r.tracker.abandoned_count();
+    rejected += r.tracker.rejected_incomplete_count();
+    probe_mib += r.probe_traffic_mib();
+    region_mib += r.region_traffic_mib();
+    max_heal = std::max(max_heal, r.max_heal_minutes);
+    end_connected = end_connected && r.live_subgraph_connected_at_end;
+  }
+  const auto add = [&]<class T>(T RunResult::*field) {
+    T total{};
+    for (const auto& r : results) total += r.*field;
+    return total;
+  };
+  const auto str = [](auto v) { return std::to_string(v); };
+  using Extras = std::vector<std::pair<std::string, std::string>>;
+  const auto block = [&](std::string_view plane, const std::string& note,
+                         const Extras& extras) {
+    std::cout << "\n" << plane << " (totals over " << results.size()
+              << " run(s)" << note << "):\n";
+    for (std::size_t i = 0; i < counters::kCount; ++i) {
+      if (counters::kTable[i].plane != plane) continue;
+      std::cout << "  " << counters::kTable[i].name << ": " << totals[i]
+                << "\n";
+    }
+    for (const auto& [key, value] : extras) {
+      std::cout << "  " << key << ": " << value << "\n";
+    }
+    std::cout << "  jobs_stranded: " << stranded << "\n";
+  };
+  const auto sum = [&](auto field) { return str(add(field)); };
   if (cfg.faults.enabled) {
-    std::uint64_t lost = 0, duplicated = 0, delayed = 0, partition_drops = 0;
-    std::uint64_t crashes = 0, restarts = 0, recoveries = 0, dropped = 0;
-    std::size_t abandoned = 0;
-    for (const auto& r : results) {
-      lost += r.faults.lost;
-      duplicated += r.faults.duplicated;
-      delayed += r.faults.delayed;
-      partition_drops += r.faults.partition_drops;
-      crashes += r.faults.crashes;
-      restarts += r.faults.restarts;
-      recoveries += r.tracker.total_recoveries();
-      abandoned += r.tracker.abandoned_count();
-      dropped += r.submissions_dropped;
-    }
-    std::cout << "\nfault injection (totals over " << results.size()
-              << " run(s)):\n"
-              << "  messages lost: " << lost << ", duplicated: " << duplicated
-              << ", delayed: " << delayed
-              << ", partition drops: " << partition_drops << "\n"
-              << "  node crashes: " << crashes << ", restarts: " << restarts
-              << "\n"
-              << "  failsafe recoveries: " << recoveries
-              << ", jobs abandoned: " << abandoned
-              << ", submissions dropped: " << dropped
-              << ", jobs stranded: " << stranded << "\n";
+    block("fault", "",
+          {{"failsafe_recoveries", str(recoveries)},
+           {"jobs_abandoned", str(abandoned)},
+           {"submissions_dropped", sum(&RunResult::submissions_dropped)}});
   }
-
-  // Printed only when the healing plane ran (same byte-identity contract as
-  // the fault block above).
   if (cfg.aria.healing.enabled) {
-    std::uint64_t evictions = 0, false_susp = 0, repairs = 0, rejoins = 0;
-    std::uint64_t rounds = 0, disconnected = 0;
-    double max_heal = 0.0, probe_mib = 0.0;
-    bool end_connected = true;
-    for (const auto& r : results) {
-      evictions += r.neighbor_evictions;
-      false_susp += r.false_suspicions;
-      repairs += r.repair_links;
-      rejoins += r.rejoin_requests;
-      rounds += r.probe_rounds;
-      disconnected += r.live_disconnected_samples;
-      max_heal = std::max(max_heal, r.max_heal_minutes);
-      probe_mib += r.probe_traffic_mib();
-      end_connected = end_connected && r.live_subgraph_connected_at_end;
-    }
-    std::cout << "\noverlay health (totals over " << results.size()
-              << " run(s)):\n"
-              << "  evictions: " << evictions
-              << ", false suspicions: " << false_susp
-              << ", repair links: " << repairs
-              << ", rejoin requests: " << rejoins << "\n"
-              << "  probe rounds: " << rounds << ", probe traffic: "
-              << metrics::Table::num(probe_mib, 2) << " MiB\n"
-              << "  live subgraph disconnected samples: " << disconnected
-              << ", worst heal window: "
-              << metrics::Table::num(max_heal, 1) << " min"
-              << ", connected at end: " << (end_connected ? "yes" : "NO")
-              << "\n";
+    block("healing", "",
+          {{"probe_traffic_mib", metrics::Table::num(probe_mib, 2)},
+           {"live_disconnected_samples",
+            sum(&RunResult::live_disconnected_samples)},
+           {"max_heal_minutes", metrics::Table::num(max_heal, 1)},
+           {"connected_at_end", end_connected ? "yes" : "NO"}});
   }
-
-  // Printed only when the overload plane ran (same byte-identity contract).
   if (cfg.aria.overload.enabled) {
-    std::uint64_t shed = 0, shed_resched = 0, shed_failsafe = 0;
-    std::uint64_t rejects = 0, rediscoveries = 0, suppressed = 0;
-    std::uint64_t peak_depth = 0;
-    std::size_t rejected_incomplete = 0;
-    for (const auto& r : results) {
-      shed += r.jobs_shed;
-      shed_resched += r.sheds_rescheduled;
-      shed_failsafe += r.sheds_failsafe;
-      rejects += r.assign_rejects;
-      rediscoveries += r.reject_rediscoveries;
-      suppressed += r.bids_suppressed;
-      peak_depth = std::max(peak_depth, r.peak_queue_depth);
-      rejected_incomplete += r.tracker.rejected_incomplete_count();
-    }
-    std::cout << "\noverload (totals over " << results.size() << " run(s)):\n"
-              << "  jobs shed: " << shed << " (re-placed via INFORM: "
-              << shed_resched << ", via re-flood: " << shed_failsafe << ")\n"
-              << "  ASSIGN rejects: " << rejects
-              << ", re-discoveries: " << rediscoveries
-              << ", bids suppressed: " << suppressed << "\n"
-              << "  peak queue depth: " << peak_depth
-              << ", rejected jobs left incomplete: " << rejected_incomplete
-              << ", jobs stranded: " << stranded << "\n";
+    block("overload", "", {{"rejected_incomplete", str(rejected)}});
   }
-
-  // Printed only when the hierarchy plane ran (same byte-identity contract).
   if (cfg.aria.hierarchy.enabled && !results.empty()) {
-    std::uint64_t queries = 0, served = 0, forwards = 0, floods = 0;
-    std::uint64_t wide = 0, reports = 0, digests = 0;
-    std::uint64_t intra_msgs = 0, cross_msgs = 0;
-    std::uint64_t intra_bytes = 0, cross_bytes = 0;
-    double region_mib = 0.0;
-    for (const auto& r : results) {
-      queries += r.region_queries;
-      served += r.region_queries_served;
-      forwards += r.region_forwards;
-      floods += r.region_floods;
-      wide += r.wide_floods;
-      reports += r.load_reports;
-      digests += r.digests_sent;
-      intra_msgs += r.intra_region_messages;
-      cross_msgs += r.cross_region_messages;
-      intra_bytes += r.intra_region_bytes;
-      cross_bytes += r.cross_region_bytes;
-      region_mib += r.region_traffic_mib();
-    }
-    const double mib = 1024.0 * 1024.0;
-    std::cout << "\nhierarchy (totals over " << results.size() << " run(s), "
-              << results.front().region_count << " regions):\n"
-              << "  region queries: " << queries << " sent, " << served
-              << " served, " << forwards << " forwarded, " << floods
-              << " remote floods, " << wide << " wide floods\n"
-              << "  load reports: " << reports
-              << ", digests broadcast: " << digests
-              << ", region-plane traffic: "
-              << metrics::Table::num(region_mib, 2) << " MiB\n"
-              << "  intra-region wire: " << intra_msgs << " msgs / "
-              << metrics::Table::num(static_cast<double>(intra_bytes) / mib, 2)
-              << " MiB; cross-region: " << cross_msgs << " msgs / "
-              << metrics::Table::num(static_cast<double>(cross_bytes) / mib, 2)
-              << " MiB\n"
-              << "  jobs stranded: " << stranded << "\n";
-    if (cfg.faults.enabled) {
-      // Chaos-hardening telemetry; gated on the fault plane so fault-free
-      // hierarchy output stays byte-identical to historical runs.
-      std::uint64_t pulls = 0, handoffs = 0, escalations = 0;
-      std::uint64_t targeted = 0;
-      for (const auto& r : results) {
-        pulls += r.region_pulls;
-        handoffs += r.region_handoffs;
-        escalations += r.early_wide_escalations;
-        targeted += r.faults.targeted_crashes;
-      }
-      std::cout << "  targeted crashes: " << targeted
-                << ", cold-restart pulls: " << pulls
-                << ", query handoffs: " << handoffs
-                << ", early wide escalations: " << escalations << "\n";
-    }
+    block("hierarchy", ", " + str(results.front().region_count) + " regions",
+          {{"region_traffic_mib", metrics::Table::num(region_mib, 2)},
+           {"intra_region_messages", sum(&RunResult::intra_region_messages)},
+           {"intra_region_bytes", sum(&RunResult::intra_region_bytes)},
+           {"cross_region_messages", sum(&RunResult::cross_region_messages)},
+           {"cross_region_bytes", sum(&RunResult::cross_region_bytes)}});
   }
-
-  // Printed only when adversaries were designated (same byte-identity
-  // contract: honest runs never reach this block).
   if (!results.empty() && results.front().adversaries_enabled) {
-    std::size_t cast = 0;
-    std::uint64_t underbids = 0, deflated = 0, swallowed = 0, poisoned = 0;
-    for (const auto& r : results) {
-      cast += r.adversary_count;
-      underbids += r.adv_underbids;
-      deflated += r.adv_informs_deflated;
-      swallowed += r.adv_assigns_swallowed;
-      poisoned += r.adv_digests_poisoned;
-    }
-    std::cout << "\nadversaries (totals over " << results.size()
-              << " run(s), " << cast << " designated):\n"
-              << "  bids underquoted: " << underbids
-              << ", INFORMs deflated: " << deflated
-              << ", ASSIGNs swallowed: " << swallowed
-              << ", digests poisoned: " << poisoned
-              << ", jobs stranded: " << stranded << "\n";
+    block("adversary",
+          ", " + sum(&RunResult::adversary_count) + " designated", {});
   }
-
-  // Printed only when the defense plane ran (same byte-identity contract).
-  if (cfg.aria.defense.enabled) {
-    std::uint64_t distrusted = 0, stragglers = 0, revokes = 0, acks = 0;
-    std::uint64_t hedges = 0, clamped = 0, evicted = 0;
-    for (const auto& r : results) {
-      distrusted += r.offers_distrusted;
-      stragglers += r.stragglers_detected;
-      revokes += r.revokes_sent;
-      acks += r.revoke_acks_sent;
-      hedges += r.hedges_dispatched;
-      clamped += r.digests_clamped;
-      evicted += r.reputation_evictions;
-    }
-    std::cout << "\ndefenses (totals over " << results.size() << " run(s)):\n"
-              << "  offers distrusted: " << distrusted
-              << ", reputation evictions: " << evicted << "\n"
-              << "  stragglers detected: " << stragglers << ", revokes sent: "
-              << revokes << ", surrendered: " << acks
-              << ", hedges dispatched: " << hedges << "\n"
-              << "  digests clamped: " << clamped
-              << ", jobs stranded: " << stranded << "\n";
-  }
-
-  // Printed only on sharded runs (same byte-identity contract: shards == 1
-  // output matches the sequential kernel byte for byte).
+  if (cfg.aria.defense.enabled) block("defense", "", {});
+  // Sharded-execution telemetry (docs/pdes.md): outside the counter table
+  // because it legitimately differs between execution modes.
   if (cfg.shards > 1) {
-    std::uint64_t windows = 0, engine_phases = 0, engine_events = 0;
-    std::uint64_t shard_events = 0, forwarded = 0, overflows = 0;
-    for (const auto& r : results) {
-      windows += r.pdes_windows;
-      engine_phases += r.pdes_engine_phases;
-      engine_events += r.pdes_engine_events;
-      shard_events += r.pdes_shard_events;
-      forwarded += r.pdes_messages_forwarded;
-      overflows += r.pdes_channel_overflows;
-    }
-    const double total_events =
-        static_cast<double>(engine_events + shard_events);
-    std::cout << "\nsharded execution (totals over " << results.size()
-              << " run(s), " << cfg.shards << " shards):\n"
-              << "  windows: " << windows
-              << ", engine phases: " << engine_phases << "\n"
-              << "  events in shards: " << shard_events
-              << ", in engine phases: " << engine_events << " ("
-              << metrics::Table::num(
-                     total_events > 0.0
-                         ? 100.0 * static_cast<double>(shard_events) /
-                               total_events
-                         : 0.0,
-                     1)
-              << "% parallelizable)\n"
-              << "  cross-shard messages: " << forwarded
-              << ", channel overflows: " << overflows << "\n";
+    const auto shard_events = add(&RunResult::pdes_shard_events);
+    const auto events = shard_events + add(&RunResult::pdes_engine_events);
+    const double parallel =
+        events == 0 ? 0.0
+                    : 100.0 * static_cast<double>(shard_events) /
+                          static_cast<double>(events);
+    block("pdes", ", " + str(cfg.shards) + " shards",
+          {{"pdes_windows", sum(&RunResult::pdes_windows)},
+           {"pdes_engine_phases", sum(&RunResult::pdes_engine_phases)},
+           {"pdes_shard_events", str(shard_events)},
+           {"pdes_engine_events", sum(&RunResult::pdes_engine_events)},
+           {"parallelizable_pct", metrics::Table::num(parallel, 1)},
+           {"pdes_messages_forwarded",
+            sum(&RunResult::pdes_messages_forwarded)},
+           {"pdes_channel_overflows",
+            sum(&RunResult::pdes_channel_overflows)}});
   }
 
   // Printed only when the tracing plane ran (same byte-identity contract):

@@ -8,7 +8,8 @@
 #   --out DIR           output directory (default: bench-out)
 #   --preset NAME       aria_sweep preset to scale (default: table2-smoke)
 #   --seeds N           seeds per preset row (default: 2)
-#   --workers-list "W.."  worker counts for the scaling curve (default: "1 2 4 8")
+#   --workers-list "W.."  worker counts for the scaling curve (default: "1 2 4 8"
+#                       capped at nproc)
 #   --repetitions N     micro-bench repetitions (default: 3)
 #   --baseline FILE     previous BENCH_sweep_scaling.json; gate wall-clock
 #                       against it
@@ -18,7 +19,8 @@
 #                       (e.g. capture-machine caveats)
 #   --skip-micro        skip the kernel micro benches
 #   --skip-pdes         skip the sharded-execution scaling curve
-#   --shards-list "S.."  shard counts for the PDES curve (default: "1 2 4 8")
+#   --shards-list "S.."  shard counts for the PDES curve (default: "1 2 4 8"
+#                       capped at nproc)
 #   --pdes-nodes N      grid size for the PDES curve (default: 2000)
 #   --pdes-jobs N       job count for the PDES curve (default: 400)
 #   --quick             CI smoke profile: quick preset, 1 seed, workers "1 2",
@@ -36,18 +38,27 @@
 # the curve). See docs/sweep.md.
 set -eu
 
+# Default curves stop at the host's CPU count: more threads than CPUs only
+# measures time-slicing.
+NPROC=$(nproc 2>/dev/null || echo 1)
+up_to_nproc() {
+  for v in "$@"; do
+    if [ "$v" -le "$NPROC" ]; then printf '%s ' "$v"; fi
+  done
+}
+
 BUILD_DIR="build"
 OUT="bench-out"
 PRESET="table2-smoke"
 SEEDS=2
-WORKERS_LIST="1 2 4 8"
+WORKERS_LIST=$(up_to_nproc 1 2 4 8)
 REPETITIONS=3
 BASELINE=""
 MAX_REGRESS=10
 NOTE=""
 SKIP_MICRO=0
 SKIP_PDES=0
-SHARDS_LIST="1 2 4 8"
+SHARDS_LIST=$(up_to_nproc 1 2 4 8)
 PDES_NODES=2000
 PDES_JOBS=400
 GATE_CURRENT=""
@@ -200,8 +211,10 @@ if [ "$SKIP_PDES" -eq 0 ]; then
     start=$(date +%s%N)
     # Exit code is a correctness gate: a stranded job or lifecycle violation
     # under sharding fails the bench even when it is fast.
+    # stdout keeps the run's pdes block: its telemetry lands per entry.
     "$ARIA_SIM" --scenario iMixed --nodes "$PDES_NODES" --jobs "$PDES_JOBS" \
-      --horizon 960 --hierarchy --shards "$S" --seed 1 --quiet
+      --horizon 960 --hierarchy --shards "$S" --seed 1 --quiet \
+      > "$OUT/pdes-s$S.txt"
     end=$(date +%s%N)
     ms=$(( (end - start) / 1000000 ))
     echo "  $S shard(s): $ms ms"
@@ -220,6 +233,15 @@ for pair in sys.argv[4:]:
 base = entries[0]["wall_ms"]
 for e in entries:
     e["speedup_vs_1s"] = round(base / e["wall_ms"], 2) if e["wall_ms"] else None
+    # The "pdes_<name>: <count>" lines of aria_sim's pdes block (S > 1).
+    log = os.path.join(os.path.dirname(out), f"pdes-s{e['shards']}.txt")
+    telemetry = {}
+    for line in open(log):
+        key, _, value = line.strip().partition(": ")
+        if key.startswith("pdes_"):
+            telemetry[key[len("pdes_"):]] = int(value)
+    if telemetry:
+        e["telemetry"] = telemetry
 cpu = ""
 try:
     for line in open("/proc/cpuinfo"):
