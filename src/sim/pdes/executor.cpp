@@ -1,7 +1,7 @@
 #include "sim/pdes/executor.hpp"
 
 #include <barrier>
-#include <cassert>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -16,9 +16,18 @@ ShardExecutor::ShardExecutor(std::vector<Simulator*> shards, Simulator& engine,
       nets_{std::move(nets)},
       config_{config},
       fired_(shards_.size(), 0) {
-  assert(!shards_.empty());
-  assert(nets_.size() == shards_.size());
-  assert(config_.lookahead > Duration::zero());
+  // Checked in every build: a zero lookahead makes every window [T, T)
+  // empty, so run() would never advance, and a network missing for some
+  // shard would be indexed out of bounds by drain().
+  if (shards_.empty()) {
+    throw std::invalid_argument("ShardExecutor needs at least one shard");
+  }
+  if (nets_.size() != shards_.size()) {
+    throw std::invalid_argument("ShardExecutor needs one network per shard");
+  }
+  if (config_.lookahead <= Duration::zero()) {
+    throw std::invalid_argument("ShardExecutor lookahead must be > 0");
+  }
 }
 
 void ShardExecutor::drain() noexcept {
@@ -43,7 +52,8 @@ void ShardExecutor::drain() noexcept {
 // Runs in a serial context only: before the workers start, and as the
 // barrier completion step while every worker is blocked. Decides whether
 // the next stretch of simulated time belongs to the engine (run here,
-// serially) or to the shards (set up a parallel window and return).
+// serially), to one shard alone (run here too), or to several shards (set
+// up a parallel window and return).
 void ShardExecutor::coordinate() noexcept {
   drain();  // messages produced by the window that just ended
   if (config_.stamp != nullptr) config_.stamp->active = true;
@@ -90,9 +100,33 @@ void ShardExecutor::coordinate() noexcept {
     if (t_engine && *t_engine < end) end = *t_engine;
     const TimePoint hard = config_.horizon + Duration::micros(1);
     if (end > hard) end = hard;
-    window_end_ = end;
     ++stats_.windows;
+
+    // One-shard window: if only shard k has an event before `end`, every
+    // other shard would fire nothing in [T, end), so running k right here
+    // is the same window without waking the workers. run_until_before
+    // touches only k's state and moves no clock, and the drain below is
+    // the one the barrier would have run, so the window sequence, events
+    // and sends are unchanged. The workers are parked (or not yet
+    // spawned), which makes shard k's state ours to touch.
+    std::size_t active = 0;
+    std::size_t lone = 0;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const std::optional<TimePoint> p = shards_[i]->peek();
+      if (p && *p < end) {
+        ++active;
+        lone = i;
+      }
+    }
     if (config_.stamp != nullptr) config_.stamp->active = false;
+    if (active == 1) {
+      ++stats_.inline_windows;
+      fired_[lone] += shards_[lone]->run_until_before(end);
+      if (config_.stamp != nullptr) config_.stamp->active = true;
+      drain();  // the next T must see this window's cross-shard sends
+      continue;
+    }
+    window_end_ = end;
     return;
   }
 }

@@ -9,13 +9,17 @@
 //     event, every shard clock is advanced to that instant and the engine
 //     events at it run on the coordinating thread — they may call into any
 //     node, on any shard, exactly like the sequential kernel.
-//   * shard window (parallel): otherwise, with T = min over shards of the
-//     next event time and lookahead L = the latency model's minimum
-//     cross-link delay, every shard independently runs its events in
-//     [T, E) where E = min(T + L, next engine event, horizon + 1us). Any
-//     message sent at t in the window arrives no earlier than t + L >= E,
-//     so nothing a peer shard does inside the window can affect this
-//     window — the classic conservative-lookahead argument.
+//   * shard window: otherwise, with T = min over shards of the next event
+//     time and lookahead L = the latency model's minimum cross-link delay,
+//     every shard independently runs its events in [T, E) where
+//     E = min(T + L, next engine event, horizon + 1us). Any message sent
+//     at t in the window arrives no earlier than t + L >= E, so nothing a
+//     peer shard does inside the window can affect this window — the
+//     classic conservative-lookahead argument. When two or more shards
+//     have an event before E the window runs in parallel, one thread per
+//     shard, between two barriers; when only one does, the coordinating
+//     thread runs that shard's window itself and no barrier is paid (the
+//     idle shards would have fired nothing).
 //
 // Cross-shard messages ride the ChannelMatrix and are drained at every
 // barrier, in canonical order, onto the owning shard's simulator. The
@@ -37,11 +41,12 @@
 namespace aria::sim::pdes {
 
 /// Shared flag + serial counter stamping engine-phase observer callbacks.
-/// The coordinator raises `active` for the serial phases (and leaves it
-/// raised outside run(), covering build-time callbacks) and clears it
-/// before releasing workers into a window; per-shard recorders read it to
-/// give engine-phase events a single global order. All accesses are
-/// separated by the executor's barrier, so no atomics are needed.
+/// The coordinator raises `active` for the engine phases (and leaves it
+/// raised outside run(), covering build-time callbacks) and clears it for
+/// every shard window, whether it runs the window itself or releases the
+/// workers into it; per-shard recorders read it to give engine-phase
+/// events a single global order. All accesses are separated by the
+/// executor's barrier, so no atomics are needed.
 struct EngineStamp {
   bool active{true};
   std::uint64_t next{0};
@@ -52,7 +57,8 @@ class ShardExecutor {
   struct Config {
     /// Conservative lookahead: must be a lower bound on every cross-shard
     /// message latency (LatencyModel::min_latency()), and must be > 0 —
-    /// zero lookahead would make every window empty.
+    /// zero lookahead would make every window empty (the constructor
+    /// throws std::invalid_argument).
     Duration lookahead{};
     /// Run end; events scheduled exactly at the horizon fire, matching
     /// Simulator::run_until semantics.
@@ -65,7 +71,8 @@ class ShardExecutor {
   /// with tiny lookahead) these numbers, not the shard count, explain the
   /// wall-clock (docs/pdes.md "What bounds the speedup").
   struct Stats {
-    std::uint64_t windows{0};        // parallel shard windows executed
+    std::uint64_t windows{0};        // shard windows executed (all kinds)
+    std::uint64_t inline_windows{0}; // ...of which one-shard, no barrier
     std::uint64_t engine_phases{0};  // serial engine rendezvous
     std::uint64_t engine_events{0};  // events fired in engine phases
     std::uint64_t shard_events{0};   // events fired inside windows (all shards)
@@ -74,7 +81,9 @@ class ShardExecutor {
 
   /// `shards[i]` and `nets[i]` are shard i's simulator and network (the
   /// drain side of the channels); `engine` is the engine-plane simulator.
-  /// All pointers are non-owning and must outlive the executor.
+  /// All pointers are non-owning and must outlive the executor. Throws
+  /// std::invalid_argument when `shards` is empty, `nets` does not have
+  /// one network per shard, or the lookahead is not positive.
   ShardExecutor(std::vector<Simulator*> shards, Simulator& engine,
                 ChannelMatrix& channels, std::vector<Network*> nets,
                 Config config);
@@ -101,7 +110,9 @@ class ShardExecutor {
   // happens-before edge.
   TimePoint window_end_{};
   bool done_{false};
-  std::vector<std::uint64_t> fired_;  // per-worker event counts, no sharing
+  // Per-shard event counts. Slot k is written by worker k, or by the
+  // coordinator for k's one-shard windows while every worker is parked.
+  std::vector<std::uint64_t> fired_;
 };
 
 }  // namespace aria::sim::pdes

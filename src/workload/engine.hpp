@@ -116,7 +116,8 @@ struct RunResult {
   // --- sharded execution (docs/pdes.md; defaults when shards == 1) ------
   /// Shard count the run executed with (1 = plain sequential kernel).
   std::size_t shards{1};
-  std::uint64_t pdes_windows{0};         // parallel shard windows
+  std::uint64_t pdes_windows{0};         // shard windows (all kinds)
+  std::uint64_t pdes_inline_windows{0};  // ...one-shard, run without barrier
   std::uint64_t pdes_engine_phases{0};   // serial engine rendezvous
   std::uint64_t pdes_engine_events{0};   // events fired in engine phases
   std::uint64_t pdes_shard_events{0};    // events fired inside windows

@@ -196,6 +196,7 @@ void GridSimulation::fill_pdes_result(RunResult& r) const {
   r.shards = config_.shards;
   if (!fabric_) return;
   r.pdes_windows = fabric_->stats.windows;
+  r.pdes_inline_windows = fabric_->stats.inline_windows;
   r.pdes_engine_phases = fabric_->stats.engine_phases;
   r.pdes_engine_events = fabric_->stats.engine_events;
   r.pdes_shard_events = fabric_->stats.shard_events;

@@ -89,6 +89,9 @@ TEST(PdesEquivalence, ShardedTelemetryIsReported) {
   const RunResult r = sim.run();
   EXPECT_EQ(r.shards, 2u);
   EXPECT_GT(r.pdes_windows, 0u);
+  // One-shard windows run inline; pdes_windows still counts every window.
+  EXPECT_GT(r.pdes_inline_windows, 0u);
+  EXPECT_LE(r.pdes_inline_windows, r.pdes_windows);
   EXPECT_GT(r.pdes_shard_events, 0u);
   EXPECT_GT(r.pdes_messages_forwarded, 0u);
   // The executor is the only driver of the engine simulator in sharded

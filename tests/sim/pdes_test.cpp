@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "sim/pdes/journal.hpp"
 #include "sim/pdes/shard_map.hpp"
 #include "sim/simulator.hpp"
+#include "workload/replay.hpp"
 
 namespace aria::sim::pdes {
 namespace {
@@ -302,16 +304,24 @@ struct ToyFabric {
     }
   }
 
-  ShardExecutor::Stats run(TimePoint horizon) {
+  std::vector<Simulator*> shard_sims() const {
+    std::vector<Simulator*> raw;
+    for (const auto& s : sims) raw.push_back(s.get());
+    return raw;
+  }
+
+  std::vector<Network*> shard_nets() const {
+    std::vector<Network*> raw;
+    for (const auto& n : nets) raw.push_back(n.get());
+    return raw;
+  }
+
+  ShardExecutor::Stats run(TimePoint horizon, EngineStamp* stamp = nullptr) {
     ShardExecutor::Config cfg;
     cfg.lookahead = 5_ms;
     cfg.horizon = horizon;
-    std::vector<Simulator*> raw_sims;
-    std::vector<Network*> raw_nets;
-    for (auto& s : sims) raw_sims.push_back(s.get());
-    for (auto& n : nets) raw_nets.push_back(n.get());
-    ShardExecutor exec{std::move(raw_sims), engine, *channels,
-                       std::move(raw_nets), cfg};
+    cfg.stamp = stamp;
+    ShardExecutor exec{shard_sims(), engine, *channels, shard_nets(), cfg};
     return exec.run();
   }
 };
@@ -342,6 +352,81 @@ TEST(ShardExecutor, PingPongCrossesShardsAtExactLatency) {
   }
   EXPECT_EQ(stats.messages_forwarded, 12u);  // 6 pings + 6 pongs
   EXPECT_GT(stats.windows, 0u);
+  // A ping is in flight on one side at a time, so no window ever has two
+  // active shards: every window runs inline, without a barrier.
+  EXPECT_EQ(stats.inline_windows, stats.windows);
+}
+
+TEST(ShardExecutor, OnlyWindowsWithTwoActiveShardsGoThroughTheBarrier) {
+  // Both shards hold an event inside [100us, 5100us): that window needs
+  // both shards and takes the barrier. The lone event at 50 ms is a
+  // one-shard window and runs inline.
+  ToyFabric f;
+  // One log per shard: the first window runs both shards concurrently.
+  std::vector<std::int64_t> fired0;
+  std::vector<std::int64_t> fired1;
+  for (const std::int64_t at : {100, 50000}) {
+    f.sims[0]->schedule_at(TimePoint::from_micros(at), [&] {
+      fired0.push_back(f.sims[0]->now().count_micros());
+    });
+  }
+  f.sims[1]->schedule_at(TimePoint::from_micros(200), [&] {
+    fired1.push_back(f.sims[1]->now().count_micros());
+  });
+  const auto stats = f.run(TimePoint::origin() + 1_s);
+  EXPECT_EQ(fired0, (std::vector<std::int64_t>{100, 50000}));
+  EXPECT_EQ(fired1, (std::vector<std::int64_t>{200}));
+  EXPECT_EQ(stats.windows, 2u);
+  EXPECT_EQ(stats.windows - stats.inline_windows, 1u);
+  EXPECT_EQ(stats.shard_events, 3u);
+}
+
+TEST(ShardExecutor, InlineWindowsAreNotStampedAsEnginePhases) {
+  // The coordinator runs one-shard windows itself, but they are still
+  // windows: a shard handler must see the stamp lowered, so a
+  // RecordingObserver files its entry as a window entry and takes no
+  // engine-phase serial number.
+  ToyFabric f;
+  EngineStamp stamp;
+  workload::RecordingObserver recorder{&stamp};
+  std::vector<bool> active_seen;
+  f.engine.schedule_at(TimePoint::from_micros(50), [&] {
+    active_seen.push_back(stamp.active);
+    recorder.on_unschedulable(JobId{}, f.engine.now());
+  });
+  f.sims[1]->schedule_at(TimePoint::from_micros(100), [&] {
+    active_seen.push_back(stamp.active);
+    recorder.on_unschedulable(JobId{}, f.sims[1]->now());
+  });
+  const auto stats = f.run(TimePoint::origin() + 1_s, &stamp);
+  EXPECT_EQ(stats.inline_windows, 1u);
+  EXPECT_EQ(active_seen, (std::vector<bool>{true, false}));
+  EXPECT_EQ(stamp.next, 1u) << "only the engine-phase entry is numbered";
+  EXPECT_EQ(recorder.size(), 2u);
+  EXPECT_TRUE(stamp.active) << "raised again once run() returns";
+}
+
+TEST(ShardExecutor, RejectsZeroLookahead) {
+  // Checked in every build: with L = 0 every window [T, T) is empty and
+  // run() would never advance.
+  ToyFabric f;
+  ShardExecutor::Config cfg;
+  cfg.horizon = TimePoint::origin() + 1_s;
+  EXPECT_THROW((ShardExecutor{f.shard_sims(), f.engine, *f.channels,
+                              f.shard_nets(), cfg}),
+               std::invalid_argument);
+}
+
+TEST(ShardExecutor, RejectsShardAndNetworkListsThatDoNotPair) {
+  ToyFabric f;
+  ShardExecutor::Config cfg;
+  cfg.lookahead = 5_ms;
+  cfg.horizon = TimePoint::origin() + 1_s;
+  EXPECT_THROW((ShardExecutor{f.shard_sims(), f.engine, *f.channels,
+                              {f.nets[0].get()}, cfg}),
+               std::invalid_argument);
+  EXPECT_THROW((ShardExecutor{{}, f.engine, *f.channels, {}, cfg}),
+               std::invalid_argument);
 }
 
 TEST(ShardExecutor, SameInstantCrossShardDeliveriesHonorSenderKeyOrder) {

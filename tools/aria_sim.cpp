@@ -219,6 +219,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(events);
     block("pdes", ", " + str(cfg.shards) + " shards",
           {{"pdes_windows", sum(&RunResult::pdes_windows)},
+           {"pdes_inline_windows", sum(&RunResult::pdes_inline_windows)},
            {"pdes_engine_phases", sum(&RunResult::pdes_engine_phases)},
            {"pdes_shard_events", str(shard_events)},
            {"pdes_engine_events", sum(&RunResult::pdes_engine_events)},

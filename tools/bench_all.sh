@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# The standing per-PR bench gate (ROADMAP item 5): kernel micros + a pinned
+# The standing per-PR bench gate (ROADMAP item 1): kernel micros + a pinned
 # parallel-sweep preset.
 #
 #   ./tools/bench_all.sh [options]
