@@ -19,16 +19,8 @@ std::size_t region_population(std::size_t node_count, std::uint32_t regions,
 
 }  // namespace
 
-AuditCollector::AuditCollector(const AuditConfig& config, AuditContext ctx,
-                               proto::ProtocolObserver* next)
-    : config_{config}, ctx_{ctx}, next_{next} {}
-
-void AuditCollector::set_forward_tap(sim::MessageTap* tap,
-                                     std::uint64_t sample_every) {
-  fwd_tap_ = tap;
-  fwd_every_ = sample_every == 0 ? 1 : sample_every;
-  fwd_counter_ = 0;
-}
+AuditCollector::AuditCollector(const AuditConfig& config, AuditContext ctx)
+    : config_{config}, ctx_{ctx} {}
 
 void AuditCollector::violate(std::string kind, std::string detail,
                              TimePoint at) {
@@ -54,73 +46,51 @@ bool AuditCollector::offer_known(const JobAudit& j, NodeId collector,
                    std::make_pair(collector, bidder)) != j.offers.end();
 }
 
-// --- observer forwarding + online checks -----------------------------------
+// --- online checks ----------------------------------------------------------
 
-void AuditCollector::on_submitted(const grid::JobSpec& job, NodeId initiator,
-                                  TimePoint at) {
-  if (next_) next_->on_submitted(job, initiator, at);
-  touch(job.id, at);
-}
-
-void AuditCollector::on_request_retry(const JobId& id, std::size_t attempt,
-                                      TimePoint at) {
-  if (next_) next_->on_request_retry(id, attempt, at);
-  touch(id, at);
-}
-
-void AuditCollector::on_unschedulable(const JobId& id, TimePoint at) {
-  if (next_) next_->on_unschedulable(id, at);
-  touch(id, at).terminal = true;
-}
-
-void AuditCollector::on_bid_sent(const JobId& id, NodeId bidder, NodeId to,
-                                 double cost, TimePoint at) {
-  if (next_) next_->on_bid_sent(id, bidder, to, cost, at);
-  touch(id, at);
-}
-
-void AuditCollector::on_bid_received(const JobId& id, NodeId collector,
-                                     NodeId bidder, double cost,
-                                     TimePoint at) {
-  if (next_) next_->on_bid_received(id, collector, bidder, cost, at);
-  JobAudit& j = touch(id, at);
-  if (!offer_known(j, collector, bidder)) {
-    j.offers.emplace_back(collector, bidder);
+template <class Event>
+void AuditCollector::check(const Event& e, TimePoint at) {
+  if constexpr (requires { e.job; }) {
+    touch(e.job.id, at);
+  } else {
+    touch(e.id, at);
   }
 }
 
-void AuditCollector::on_delegated(const JobId& id, NodeId from, NodeId to,
-                                  TimePoint at, bool reschedule) {
-  if (next_) next_->on_delegated(id, from, to, at, reschedule);
-  JobAudit& j = touch(id, at);
+void AuditCollector::on_event(TimePoint at,
+                              const proto::ProtocolEvent& event) {
+  std::visit([&](const auto& e) { check(e, at); }, event);
+}
+
+void AuditCollector::check(const proto::event::Unschedulable& e,
+                           TimePoint at) {
+  touch(e.id, at).terminal = true;
+}
+
+void AuditCollector::check(const proto::event::BidReceived& e, TimePoint at) {
+  JobAudit& j = touch(e.id, at);
+  if (!offer_known(j, e.collector, e.bidder)) {
+    j.offers.emplace_back(e.collector, e.bidder);
+  }
+}
+
+void AuditCollector::check(const proto::event::Delegated& e, TimePoint at) {
+  JobAudit& j = touch(e.id, at);
   // No ASSIGN without a matching ACCEPT: the delegator must have collected
   // an offer from the chosen assignee in some earlier round. Crashes wipe a
   // node's round state but not the audit record, so the check is a strict
   // superset of what any live delegator could legitimately know.
-  if (!offer_known(j, from, to)) {
+  if (!offer_known(j, e.from, e.to)) {
     violate("assign-without-accept",
-            "job " + id.to_string() + ": " + from.to_string() +
-                " delegated to " + to.to_string() +
+            "job " + e.id.to_string() + ": " + e.from.to_string() +
+                " delegated to " + e.to.to_string() +
                 " which never offered to it",
             at);
   }
 }
 
-void AuditCollector::on_assigned(const grid::JobSpec& job, NodeId node,
-                                 TimePoint at, bool reschedule) {
-  if (next_) next_->on_assigned(job, node, at, reschedule);
-  touch(job.id, at);
-}
-
-void AuditCollector::on_started(const JobId& id, NodeId node, TimePoint at) {
-  if (next_) next_->on_started(id, node, at);
-  touch(id, at);
-}
-
-void AuditCollector::on_completed(const JobId& id, NodeId node, TimePoint at,
-                                  Duration art) {
-  if (next_) next_->on_completed(id, node, at, art);
-  JobAudit& j = touch(id, at);
+void AuditCollector::check(const proto::event::Completed& e, TimePoint at) {
+  JobAudit& j = touch(e.id, at);
   // Exactly-once modulo recovery: each failsafe recovery (watchdog re-flood
   // or ASSIGN_ACK rediscovery) licenses at most one extra execution, each
   // hedged re-dispatch (the revoked straggler may still finish) one more,
@@ -129,8 +99,8 @@ void AuditCollector::on_completed(const JobId& id, NodeId node, TimePoint at,
   // + hedges always. A completion past that budget is a protocol bug.
   if (j.completions > 0 && j.completions > j.recoveries + j.hedges) {
     violate("duplicate-completion",
-            "job " + id.to_string() + " completed again on " +
-                node.to_string() + " (" +
+            "job " + e.id.to_string() + " completed again on " +
+                e.node.to_string() + " (" +
                 std::to_string(j.completions + 1) + " completions, " +
                 std::to_string(j.recoveries) + " recoveries, " +
                 std::to_string(j.hedges) + " hedges)",
@@ -140,113 +110,92 @@ void AuditCollector::on_completed(const JobId& id, NodeId node, TimePoint at,
   j.terminal = true;
 }
 
-void AuditCollector::on_recovery(const JobId& id, std::size_t attempt,
-                                 TimePoint at) {
-  if (next_) next_->on_recovery(id, attempt, at);
-  JobAudit& j = touch(id, at);
+void AuditCollector::check(const proto::event::Recovery& e, TimePoint at) {
+  JobAudit& j = touch(e.id, at);
   ++j.recoveries;
   // Budget: watchdog recovery attempts are 1-based and abandon past
   // failsafe_max_recoveries, so a larger attempt number must never appear.
   if (ctx_.failsafe_max_recoveries > 0 &&
-      attempt > ctx_.failsafe_max_recoveries) {
+      e.attempt > ctx_.failsafe_max_recoveries) {
     violate("recovery-budget-exceeded",
-            "job " + id.to_string() + " recovery attempt " +
-                std::to_string(attempt) + " > budget " +
+            "job " + e.id.to_string() + " recovery attempt " +
+                std::to_string(e.attempt) + " > budget " +
                 std::to_string(ctx_.failsafe_max_recoveries),
             at);
   }
 }
 
-void AuditCollector::on_abandoned(const JobId& id, TimePoint at) {
-  if (next_) next_->on_abandoned(id, at);
-  touch(id, at).terminal = true;
+void AuditCollector::check(const proto::event::Abandoned& e, TimePoint at) {
+  touch(e.id, at).terminal = true;
 }
 
-void AuditCollector::on_shed(const grid::JobSpec& job, NodeId node,
-                             TimePoint at) {
-  if (next_) next_->on_shed(job, node, at);
-  touch(job.id, at);
-}
-
-void AuditCollector::on_rejected(const JobId& id, NodeId node, TimePoint at) {
-  if (next_) next_->on_rejected(id, node, at);
-  touch(id, at);
-}
-
-void AuditCollector::on_region_delegated(const JobId& id, NodeId aggregator,
-                                         std::uint32_t from_region,
-                                         std::uint32_t to_region,
-                                         TimePoint at) {
-  if (next_) next_->on_region_delegated(id, aggregator, from_region,
-                                        to_region, at);
-  JobAudit& j = touch(id, at);
+void AuditCollector::check(const proto::event::RegionDelegated& e,
+                           TimePoint at) {
+  JobAudit& j = touch(e.id, at);
   j.pending_delegation = at;  // must produce some later event for the job
-  if (ctx_.region_count > 0 &&
-      (from_region >= ctx_.region_count || to_region >= ctx_.region_count)) {
+  if (ctx_.region_count > 0 && (e.from_region >= ctx_.region_count ||
+                                e.to_region >= ctx_.region_count)) {
     violate("delegation-bad-region",
-            "job " + id.to_string() + ": delegation " +
-                std::to_string(from_region) + " -> " +
-                std::to_string(to_region) + " outside R=" +
+            "job " + e.id.to_string() + ": delegation " +
+                std::to_string(e.from_region) + " -> " +
+                std::to_string(e.to_region) + " outside R=" +
                 std::to_string(ctx_.region_count),
             at);
   }
 }
 
-void AuditCollector::on_digest_clamped(NodeId owner, NodeId from,
-                                       std::uint32_t region,
-                                       std::uint64_t epoch, TimePoint at) {
-  if (next_) next_->on_digest_clamped(owner, from, region, epoch, at);
+void AuditCollector::check(const proto::event::DigestClamped& e,
+                           TimePoint at) {
   // A clamp must be *justified*: the rejected digest's (originator, region,
   // epoch) must have failed a conservation check when it crossed the tap
   // (send precedes delivery, so the key is always recorded first). A clamp
   // with no matching lie threw away an honest aggregator's digest — the
   // defense harming the protocol it guards.
-  if (bad_digests_.find({static_cast<std::uint32_t>(from.value()), region,
-                         epoch}) == bad_digests_.end()) {
+  if (bad_digests_.find({static_cast<std::uint32_t>(e.from.value()), e.region,
+                         e.epoch}) == bad_digests_.end()) {
     violate("clamp-without-cause",
-            owner.to_string() + " clamped a conserving digest from " +
-                from.to_string() + " (region " + std::to_string(region) +
-                ", epoch " + std::to_string(epoch) + ")",
+            e.owner.to_string() + " clamped a conserving digest from " +
+                e.from.to_string() + " (region " + std::to_string(e.region) +
+                ", epoch " + std::to_string(e.epoch) + ")",
             at);
   }
 }
 
-void AuditCollector::on_reputation(NodeId owner, NodeId subject, double score,
-                                   TimePoint at) {
-  if (next_) next_->on_reputation(owner, subject, score, at);
+void AuditCollector::check(const proto::event::Reputation& e, TimePoint at) {
   if (ctx_.reputation_alpha <= 0.0) return;  // defense off: stream must be
                                              // empty anyway, nothing to bound
   constexpr double kEps = 1e-9;
-  if (score < -kEps || score > 1.0 + kEps) {
+  if (e.score < -kEps || e.score > 1.0 + kEps) {
     violate("reputation-out-of-range",
-            owner.to_string() + " scored " + subject.to_string() + " at " +
-                std::to_string(score),
+            e.owner.to_string() + " scored " + e.subject.to_string() +
+                " at " + std::to_string(e.score),
             at);
   }
   // EWMA movement bound: one observation moves a score by at most
   // alpha * |outcome - score| <= alpha. A larger jump means the ledger is
   // folding something other than single clamped observations.
   const std::uint64_t key =
-      (static_cast<std::uint64_t>(owner.value()) << 32) |
-      static_cast<std::uint64_t>(subject.value());
+      (static_cast<std::uint64_t>(e.owner.value()) << 32) |
+      static_cast<std::uint64_t>(e.subject.value());
   const auto it = rep_scores_.find(key);
   const double prev =
       it == rep_scores_.end() ? ctx_.reputation_initial : it->second;
-  if (std::abs(score - prev) > ctx_.reputation_alpha + kEps) {
+  if (std::abs(e.score - prev) > ctx_.reputation_alpha + kEps) {
     violate("reputation-jump",
-            owner.to_string() + " moved " + subject.to_string() + " from " +
-                std::to_string(prev) + " to " + std::to_string(score) +
+            e.owner.to_string() + " moved " + e.subject.to_string() +
+                " from " + std::to_string(prev) + " to " +
+                std::to_string(e.score) +
                 " (bound " + std::to_string(ctx_.reputation_alpha) + ")",
             at);
   }
-  rep_scores_[key] = score;
+  rep_scores_[key] = e.score;
 }
 
 // --- wire tap ---------------------------------------------------------------
 
-void AuditCollector::on_message(NodeId from, NodeId to,
+void AuditCollector::on_message(NodeId from, NodeId,
                                 const sim::Message& message, TimePoint sent,
-                                TimePoint deliver, bool faulted) {
+                                TimePoint, bool) {
   // Digest conservation against ground truth: a REGION_DIGEST may summarize
   // fewer members than the region holds (staleness ages reporters out) but
   // never more, idle capacity can never exceed the member count, backlogs
@@ -334,12 +283,6 @@ void AuditCollector::on_message(NodeId from, NodeId to,
         }
       }
     }
-  }
-  // Re-sample for the displaced tap with the Network's own arithmetic, so
-  // e.g. the trace plane records exactly the messages it would have seen
-  // had the auditor not been in between.
-  if (fwd_tap_ != nullptr && fwd_counter_++ % fwd_every_ == 0) {
-    fwd_tap_->on_message(from, to, message, sent, deliver, faulted);
   }
 }
 

@@ -1,17 +1,18 @@
 // Online invariant auditor (docs/audit.md).
 //
-// The AuditCollector is an observer-seam decorator plus a network
-// MessageTap, exactly like trace::TraceCollector: it wraps the run's
-// existing observer chain and forwards every callback unchanged, so
-// attaching the auditor never alters what the tracker — and therefore
-// every golden metric — sees. While forwarding it checks protocol
+// The AuditCollector is one subscriber on each of the engine's two flat
+// lists, like trace::TraceCollector: the run's proto::ObserverList (after
+// the tracker and the tracer) and the sim::TapList feeding the Network, at
+// sample_every 1 (invariants cannot be sampled). It forwards nothing and
+// changes nothing, so attaching it never alters what the tracker — and
+// therefore every golden metric — or the tracer sees. It checks protocol
 // invariants *online* (duplicate completions, delegations without a
 // matching offer, malformed region digests, recovery-budget overruns) and
 // records any violation; finish() runs the end-of-run checks that need the
 // horizon (unresolved cross-region delegations).
 //
-// A disabled audit plane constructs nothing: no collector, no decorated
-// observer, no tap — zero cost and byte-identical output.
+// A disabled audit plane constructs nothing: no collector and no
+// subscriptions — zero cost and byte-identical output.
 #pragma once
 
 #include <cstdint>
@@ -83,16 +84,7 @@ struct Violation {
 class AuditCollector final : public proto::ProtocolObserver,
                              public sim::MessageTap {
  public:
-  /// `next` (may be null) receives every observer callback unchanged,
-  /// before the invariant checks run.
-  AuditCollector(const AuditConfig& config, AuditContext ctx,
-                 proto::ProtocolObserver* next = nullptr);
-
-  /// The auditor replaces any previous tap (it must see *every* message,
-  /// sample_every == 1); `tap` gets the stream the displaced tap would
-  /// have seen, re-sampled with the same counter arithmetic the Network
-  /// uses so e.g. trace output stays byte-identical with auditing on.
-  void set_forward_tap(sim::MessageTap* tap, std::uint64_t sample_every);
+  AuditCollector(const AuditConfig& config, AuditContext ctx);
 
   /// End-of-run checks (unresolved delegations). Call once, at the horizon.
   void finish(TimePoint horizon);
@@ -112,37 +104,11 @@ class AuditCollector final : public proto::ProtocolObserver,
     return expected_adversary_digests_;
   }
 
-  // --- proto::ProtocolObserver ------------------------------------------
-  void on_submitted(const grid::JobSpec& job, NodeId initiator,
-                    TimePoint at) override;
-  void on_request_retry(const JobId& id, std::size_t attempt,
-                        TimePoint at) override;
-  void on_unschedulable(const JobId& id, TimePoint at) override;
-  void on_bid_sent(const JobId& id, NodeId bidder, NodeId to, double cost,
-                   TimePoint at) override;
-  void on_bid_received(const JobId& id, NodeId collector, NodeId bidder,
-                       double cost, TimePoint at) override;
-  void on_delegated(const JobId& id, NodeId from, NodeId to, TimePoint at,
-                    bool reschedule) override;
-  void on_assigned(const grid::JobSpec& job, NodeId node, TimePoint at,
-                   bool reschedule) override;
-  void on_started(const JobId& id, NodeId node, TimePoint at) override;
-  void on_completed(const JobId& id, NodeId node, TimePoint at,
-                    Duration art) override;
-  void on_recovery(const JobId& id, std::size_t attempt,
-                   TimePoint at) override;
-  void on_abandoned(const JobId& id, TimePoint at) override;
-  void on_shed(const grid::JobSpec& job, NodeId node, TimePoint at) override;
-  void on_rejected(const JobId& id, NodeId node, TimePoint at) override;
-  void on_region_delegated(const JobId& id, NodeId aggregator,
-                           std::uint32_t from_region, std::uint32_t to_region,
-                           TimePoint at) override;
-  void on_digest_clamped(NodeId owner, NodeId from, std::uint32_t region,
-                         std::uint64_t epoch, TimePoint at) override;
-  void on_reputation(NodeId owner, NodeId subject, double score,
-                     TimePoint at) override;
+  /// Runs the online checks an event is subject to.
+  void on_event(TimePoint at, const proto::ProtocolEvent& event) override;
 
-  // --- sim::MessageTap ---------------------------------------------------
+  /// Checks the wire claims the event stream never carries (digests,
+  /// hedge flags).
   void on_message(NodeId from, NodeId to, const sim::Message& message,
                   TimePoint sent, TimePoint deliver, bool faulted) override;
 
@@ -172,15 +138,22 @@ class AuditCollector final : public proto::ProtocolObserver,
   void violate(std::string kind, std::string detail, TimePoint at);
   bool offer_known(const JobAudit& j, NodeId collector, NodeId bidder) const;
 
+  /// One overload per event with an invariant of its own; every other
+  /// job event only touches its job.
+  template <class Event>
+  void check(const Event& e, TimePoint at);
+  void check(const proto::event::Unschedulable& e, TimePoint at);
+  void check(const proto::event::BidReceived& e, TimePoint at);
+  void check(const proto::event::Delegated& e, TimePoint at);
+  void check(const proto::event::Completed& e, TimePoint at);
+  void check(const proto::event::Recovery& e, TimePoint at);
+  void check(const proto::event::Abandoned& e, TimePoint at);
+  void check(const proto::event::RegionDelegated& e, TimePoint at);
+  void check(const proto::event::DigestClamped& e, TimePoint at);
+  void check(const proto::event::Reputation& e, TimePoint at);
+
   AuditConfig config_;
   AuditContext ctx_;
-  proto::ProtocolObserver* next_;
-
-  sim::MessageTap* fwd_tap_{nullptr};
-  std::uint64_t fwd_every_{1};
-  /// Mirrors sim::Network's tap counter arithmetic: the forwarded stream
-  /// must equal what the displaced tap would have received directly.
-  std::uint64_t fwd_counter_{0};
 
   std::unordered_map<JobId, JobAudit> jobs_;
   /// Last digest epoch seen per aggregator (monotonicity check; duplicated
@@ -188,7 +161,7 @@ class AuditCollector final : public proto::ProtocolObserver,
   std::unordered_map<NodeId, std::uint64_t> digest_epochs_;
   /// (originator, region, epoch) keys of digests that failed a conservation
   /// check on the wire. The tap fires at send, the defense clamp at
-  /// delivery, so every *justified* on_digest_clamped finds its key here —
+  /// delivery, so every *justified* DigestClamped event finds its key here —
   /// a clamp without one rejected an honest digest.
   std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>>
       bad_digests_;

@@ -22,12 +22,10 @@ AriaNode* CentralizedMetaScheduler::best_node_for(const grid::JobSpec& job,
 
 bool CentralizedMetaScheduler::submit(const grid::JobSpec& job,
                                       NodeId submitted_to) {
-  if (observer_ != nullptr) {
-    observer_->on_submitted(job, submitted_to, sim_.now());
-  }
+  emit(event::Submitted{job, submitted_to});
   AriaNode* best = best_node_for(job, nullptr);
   if (best == nullptr) {
-    if (observer_ != nullptr) observer_->on_unschedulable(job.id, sim_.now());
+    emit(event::Unschedulable{job.id});
     return false;
   }
   best->deliver_assignment(job, submitted_to, /*reschedule=*/false);

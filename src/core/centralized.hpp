@@ -34,6 +34,10 @@ class CentralizedMetaScheduler {
 
  private:
   AriaNode* best_node_for(const grid::JobSpec& job, double* cost_out) const;
+  /// Hands `event` to the observer (if any), stamped with the current time.
+  void emit(const ProtocolEvent& event) {
+    if (observer_ != nullptr) observer_->on_event(sim_.now(), event);
+  }
 
   sim::Simulator& sim_;
   std::vector<AriaNode*> nodes_;

@@ -101,9 +101,7 @@ void GossipNode::on_gossip(const GossipMsg& msg) {
 
 void GossipNode::submit(grid::JobSpec job) {
   assert(!job.id.is_nil());
-  if (ctx_.observer) {
-    ctx_.observer->on_submitted(job, self_, ctx_.sim->now());
-  }
+  emit(event::Submitted{job, self_});
   try_assign(job, 1);
 }
 
@@ -131,10 +129,10 @@ void GossipNode::try_assign(const grid::JobSpec& job, std::size_t attempt) {
 
   if (best == nullptr) {
     if (ctx_.config->retry.exhausted(attempt)) {
-      if (ctx_.observer) ctx_.observer->on_unschedulable(job.id, now);
+      emit(event::Unschedulable{job.id});
       return;
     }
-    if (ctx_.observer) ctx_.observer->on_request_retry(job.id, attempt + 1, now);
+    emit(event::RequestRetry{job.id, attempt + 1});
     grid::JobSpec copy = job;
     ctx_.sim->schedule_after(ctx_.config->retry.wait_after(attempt),
                              [this, copy = std::move(copy), attempt] {
@@ -154,9 +152,7 @@ void GossipNode::try_assign(const grid::JobSpec& job, std::size_t attempt) {
 void GossipNode::accept_job(const grid::JobSpec& spec) {
   sched_->enqueue(sched::QueuedJob{
       spec, spec.ert_on(profile_.performance_index), ctx_.sim->now(), 0});
-  if (ctx_.observer) {
-    ctx_.observer->on_assigned(spec, self_, ctx_.sim->now(), false);
-  }
+  emit(event::Assigned{spec, self_, false});
   kick_executor();
 }
 
@@ -171,7 +167,7 @@ void GossipNode::kick_executor() {
   run.completion =
       ctx_.sim->schedule_after(art, [this] { complete_running(); });
   running_ = std::move(run);
-  if (ctx_.observer) ctx_.observer->on_started(id, self_, ctx_.sim->now());
+  emit(event::Started{id, self_});
 }
 
 void GossipNode::complete_running() {
@@ -179,9 +175,7 @@ void GossipNode::complete_running() {
   const JobId id = running_->job.spec.id;
   const Duration art = running_->art;
   running_.reset();
-  if (ctx_.observer) {
-    ctx_.observer->on_completed(id, self_, ctx_.sim->now(), art);
-  }
+  emit(event::Completed{id, self_, art});
   kick_executor();
 }
 

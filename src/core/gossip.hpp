@@ -122,6 +122,11 @@ class GossipNode {
     sim::EventHandle completion;
   };
 
+  /// Hands `event` to the observer (if any), stamped with the current time.
+  void emit(const ProtocolEvent& event) {
+    if (ctx_.observer) ctx_.observer->on_event(ctx_.sim->now(), event);
+  }
+
   void handle(sim::Envelope env);
   void on_gossip(const GossipMsg& msg);
   void gossip_tick();

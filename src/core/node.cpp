@@ -247,9 +247,7 @@ double AriaNode::my_cost(const grid::JobSpec& job) const {
 
 void AriaNode::submit(grid::JobSpec job) {
   assert(!job.id.is_nil());
-  if (ctx_.observer) {
-    ctx_.observer->on_submitted(job, self_, ctx_.sim->now());
-  }
+  emit(event::Submitted{job, self_});
   auto [it, inserted] = pending_requests_.try_emplace(job.id);
   assert(inserted && "duplicate submission of the same job UUID");
   it->second.spec = std::move(job);
@@ -280,10 +278,7 @@ void AriaNode::flood_request(const grid::JobSpec& spec, std::size_t attempt) {
     } else {
       const double cost = bid_cost(spec);
       it->second.offers.emplace_back(self_, spec.id, cost);
-      if (ctx_.observer) {
-        ctx_.observer->on_bid_received(spec.id, self_, self_, cost,
-                                       ctx_.sim->now());
-      }
+      emit(event::BidReceived{spec.id, self_, self_, cost});
     }
   }
 
@@ -340,13 +335,11 @@ void AriaNode::decide_assignment(const JobId& id) {
     if (ctx_.config->retry.exhausted(pending.attempt)) {
       ARIA_WARN << self_.to_string() << ": job " << id.to_string()
                 << " unschedulable after " << pending.attempt << " attempts";
-      if (ctx_.observer) ctx_.observer->on_unschedulable(id, ctx_.sim->now());
+      emit(event::Unschedulable{id});
       pending_requests_.erase(it);
       return;
     }
-    if (ctx_.observer) {
-      ctx_.observer->on_request_retry(id, next_attempt, ctx_.sim->now());
-    }
+    emit(event::RequestRetry{id, next_attempt});
     if (hierarchy_on()) {
       // Escalate cross-region in parallel with the local backoff: the
       // aggregator forwards the query to another region, whose members
@@ -461,25 +454,17 @@ void AriaNode::send_assign(NodeId target, const grid::JobSpec& spec,
       // The backlog crossed the watermark between the self-bid and this
       // decision; refuse locally exactly like a wire REJECT would.
       ++counters_.assign_rejects;
-      if (ctx_.observer) {
-        ctx_.observer->on_rejected(spec.id, self_, ctx_.sim->now());
-      }
+      emit(event::Rejected{spec.id, self_});
       handle_reject(spec, initiator, reschedule);
       return;
     }
     // Local delegation needs no wire message.
-    if (ctx_.observer) {
-      ctx_.observer->on_delegated(spec.id, self_, self_, ctx_.sim->now(),
-                                  reschedule);
-    }
+    emit(event::Delegated{spec.id, self_, self_, reschedule});
     accept_job(spec, initiator, reschedule);
     return;
   }
   ++counters_.assigns_sent;
-  if (ctx_.observer) {
-    ctx_.observer->on_delegated(spec.id, self_, target, ctx_.sim->now(),
-                                reschedule);
-  }
+  emit(event::Delegated{spec.id, self_, target, reschedule});
   if (!ctx_.config->assign_ack) {
     ctx_.net->send(self_, target,
                    std::make_unique<AssignMsg>(initiator, spec, reschedule,
@@ -532,7 +517,7 @@ void AriaNode::assign_ack_expired(const JobId& id) {
             << " retries; rediscovering";
   if (pending_requests_.contains(id)) return;  // a round is already running
   ++counters_.assign_rediscoveries;
-  if (ctx_.observer) ctx_.observer->on_recovery(id, 1, ctx_.sim->now());
+  emit(event::Recovery{id, 1});
   auto [pending, inserted] = pending_requests_.try_emplace(id);
   assert(inserted);
   pending->second.spec = spec;
@@ -569,9 +554,7 @@ void AriaNode::accept_job(const grid::JobSpec& spec, NodeId initiator,
   counters_.peak_queue_depth =
       std::max<std::uint64_t>(counters_.peak_queue_depth, sched_->size());
   if (reschedule) ++counters_.reschedules_in;
-  if (ctx_.observer) {
-    ctx_.observer->on_assigned(spec, self_, ctx_.sim->now(), reschedule);
-  }
+  emit(event::Assigned{spec, self_, reschedule});
   if (ctx_.config->failsafe) {
     notify_initiator_of(spec.id, NotifyMsg::Kind::kQueued);
   }
@@ -644,10 +627,7 @@ void AriaNode::on_request(NodeId from, const RequestMsg& msg) {
       const double cost = bid_cost(msg.job);
       ctx_.net->send(self_, msg.initiator,
                      std::make_unique<AcceptMsg>(self_, msg.job.id, cost));
-      if (ctx_.observer) {
-        ctx_.observer->on_bid_sent(msg.job.id, self_, msg.initiator, cost,
-                                   ctx_.sim->now());
-      }
+      emit(event::BidSent{msg.job.id, self_, msg.initiator, cost});
       replied = true;
     }
   }
@@ -684,10 +664,7 @@ void AriaNode::on_inform(NodeId from, const InformMsg& msg) {
         ++counters_.accepts_sent;
         ctx_.net->send(self_, msg.assignee,
                        std::make_unique<AcceptMsg>(self_, msg.job.id, cost));
-        if (ctx_.observer) {
-          ctx_.observer->on_bid_sent(msg.job.id, self_, msg.assignee, cost,
-                                     ctx_.sim->now());
-        }
+        emit(event::BidSent{msg.job.id, self_, msg.assignee, cost});
         replied = true;
       }
     }
@@ -712,10 +689,7 @@ void AriaNode::on_accept(const AcceptMsg& msg) {
   if (auto it = pending_requests_.find(msg.job_id);
       it != pending_requests_.end()) {
     it->second.offers.push_back(msg);
-    if (ctx_.observer) {
-      ctx_.observer->on_bid_received(msg.job_id, self_, msg.node, msg.cost,
-                                     ctx_.sim->now());
-    }
+    emit(event::BidReceived{msg.job_id, self_, msg.node, msg.cost});
     return;
   }
 
@@ -726,10 +700,7 @@ void AriaNode::on_accept(const AcceptMsg& msg) {
     ShedJob shed = std::move(sh->second);
     shed.timer.cancel();
     shed_jobs_.erase(sh);
-    if (ctx_.observer) {
-      ctx_.observer->on_bid_received(msg.job_id, self_, msg.node, msg.cost,
-                                     ctx_.sim->now());
-    }
+    emit(event::BidReceived{msg.job_id, self_, msg.node, msg.cost});
     ++counters_.sheds_rescheduled;
     ++counters_.reschedules_out;
     if ((ctx_.config->notify_initiator || ctx_.config->failsafe) &&
@@ -762,13 +733,10 @@ void AriaNode::on_accept(const AcceptMsg& msg) {
   const double current = sched_->current_cost(msg.job_id, running_remaining(),
                                               ctx_.sim->now());
   if (!(msg.cost < current)) return;  // keep waiting; other offers may come
-  if (ctx_.observer) {
-    // Rescheduling offers are not collected into a set — the first offer
-    // that still beats the current local cost wins — so only the winning
-    // bid is recorded.
-    ctx_.observer->on_bid_received(msg.job_id, self_, msg.node, msg.cost,
-                                   ctx_.sim->now());
-  }
+  // Rescheduling offers are not collected into a set — the first offer
+  // that still beats the current local cost wins — so only the winning bid
+  // is recorded.
+  emit(event::BidReceived{msg.job_id, self_, msg.node, msg.cost});
 
   const grid::JobSpec spec = held->spec;
   const NodeId initiator = initiator_of_[msg.job_id];
@@ -803,9 +771,7 @@ void AriaNode::on_assign(NodeId from, const AssignMsg& msg) {
     // normal path (they must be re-ACKed, not refused), hence the holds()
     // and dedup guards.
     ++counters_.assign_rejects;
-    if (ctx_.observer) {
-      ctx_.observer->on_rejected(msg.job.id, self_, ctx_.sim->now());
-    }
+    emit(event::Rejected{msg.job.id, self_});
     ctx_.net->send(self_, from,
                    std::make_unique<RejectMsg>(self_, msg.job, msg.initiator,
                                                msg.reschedule,
@@ -956,7 +922,7 @@ void AriaNode::watchdog_expired(const JobId& id) {
   if (w.recoveries >= ctx_.config->failsafe_max_recoveries) {
     ARIA_WARN << self_.to_string() << ": giving up on recovering job "
               << id.to_string() << " after " << w.recoveries << " attempts";
-    if (ctx_.observer) ctx_.observer->on_abandoned(id, ctx_.sim->now());
+    emit(event::Abandoned{id});
     watched_.erase(it);
     return;
   }
@@ -974,9 +940,7 @@ void AriaNode::watchdog_expired(const JobId& id) {
     w.revoke_pending = false;
     w.quoted_cost = 0.0;  // the recovery round records a fresh promise
   }
-  if (ctx_.observer) {
-    ctx_.observer->on_recovery(id, w.recoveries, ctx_.sim->now());
-  }
+  emit(event::Recovery{id, w.recoveries});
   auto [pending, inserted] = pending_requests_.try_emplace(id);
   assert(inserted);
   pending->second.spec = w.spec;
@@ -1029,9 +993,7 @@ void AriaNode::observe_reputation(NodeId subject, double outcome) {
   const double thr = ctx_.config->defense.suspicion_threshold;
   const double before = reputation_.score(subject);
   const double after = reputation_.observe(subject, outcome);
-  if (ctx_.observer) {
-    ctx_.observer->on_reputation(self_, subject, after, ctx_.sim->now());
-  }
+  emit(event::Reputation{self_, subject, after});
   if (ctx_.config->healing.enabled && before >= thr && after < thr &&
       ctx_.topo->has_link(self_, subject)) {
     // Crossing into suspicion: cut the overlay link, so this node's floods
@@ -1275,7 +1237,7 @@ void AriaNode::kick_executor() {
   run.completion =
       ctx_.sim->schedule_after(art, [this] { complete_running(); });
   running_ = std::move(run);
-  if (ctx_.observer) ctx_.observer->on_started(id, self_, ctx_.sim->now());
+  emit(event::Started{id, self_});
   if (ctx_.config->failsafe) {
     notify_initiator_of(id, NotifyMsg::Kind::kStarted);
   }
@@ -1294,9 +1256,7 @@ void AriaNode::complete_running() {
   initiator_of_.erase(id);
   ++counters_.jobs_executed;
   running_.reset();
-  if (ctx_.observer) {
-    ctx_.observer->on_completed(id, self_, ctx_.sim->now(), art);
-  }
+  emit(event::Completed{id, self_, art});
   kick_executor();
   sync_idle_gauge();
 }
@@ -1377,9 +1337,7 @@ void AriaNode::shed_job(sched::QueuedJob&& victim) {
     initiator_of_.erase(it);
   }
   pending_informs_.erase(id);
-  if (ctx_.observer) {
-    ctx_.observer->on_shed(victim.spec, self_, ctx_.sim->now());
-  }
+  emit(event::Shed{victim.spec, self_});
 
   // Shed-and-forward: an immediate out-of-cycle INFORM burst advertising the
   // job at the cost it would incur by *staying* here, so any less-loaded
@@ -1702,10 +1660,7 @@ void AriaNode::on_region_digest(const RegionDigestMsg& msg) {
     }
     if (bad) {
       ++counters_.digests_clamped;
-      if (ctx_.observer) {
-        ctx_.observer->on_digest_clamped(self_, msg.from, d.region, d.epoch,
-                                         ctx_.sim->now());
-      }
+      emit(event::DigestClamped{self_, msg.from, d.region, d.epoch});
       return;
     }
   }
@@ -1811,10 +1766,7 @@ void AriaNode::serve_region_query(NodeId initiator, const grid::JobSpec& spec,
   const NodeId remote =
       overlay::aggregator_candidate(target.region, h.region_count, rank);
   ++counters_.region_forwards;
-  if (ctx_.observer) {
-    ctx_.observer->on_region_delegated(spec.id, self_, my_region(),
-                                       target.region, ctx_.sim->now());
-  }
+  emit(event::RegionDelegated{spec.id, self_, my_region(), target.region});
   ctx_.net->send(self_, remote,
                  std::make_unique<RegionFwdMsg>(initiator, spec, attempt));
 }
@@ -1836,10 +1788,7 @@ void AriaNode::on_region_fwd(const RegionFwdMsg& msg) {
       const double cost = bid_cost(msg.job);
       ctx_.net->send(self_, msg.initiator,
                      std::make_unique<AcceptMsg>(self_, msg.job.id, cost));
-      if (ctx_.observer) {
-        ctx_.observer->on_bid_sent(msg.job.id, self_, msg.initiator, cost,
-                                   ctx_.sim->now());
-      }
+      emit(event::BidSent{msg.job.id, self_, msg.initiator, cost});
     }
   }
   const FloodMeta meta{

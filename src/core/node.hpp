@@ -103,7 +103,7 @@ class AriaNode {
 
   /// Places `job` directly into this node's queue, bypassing the discovery
   /// protocol. Used by the centralized baseline and by tests; fires the same
-  /// on_assigned observer event as a protocol delegation.
+  /// Assigned observer event as a protocol delegation.
   void deliver_assignment(const grid::JobSpec& job, NodeId initiator,
                           bool reschedule = false);
 
@@ -281,6 +281,11 @@ class AriaNode {
     sim::EventHandle timer;
   };
 
+  /// Hands `event` to the observer (if any), stamped with the current time.
+  void emit(const ProtocolEvent& event) {
+    if (ctx_.observer) ctx_.observer->on_event(ctx_.sim->now(), event);
+  }
+
   void handle(sim::Envelope env);
   void on_request(NodeId from, const RequestMsg& msg);
   void on_accept(const AcceptMsg& msg);
@@ -392,7 +397,7 @@ class AriaNode {
   /// the bidder's credibility (floored). Identity when the defense is off.
   double discounted_cost(const AcceptMsg& offer) const;
   /// Folds a promise-vs-delivery outcome for `subject` into the ledger,
-  /// fires on_reputation, and evicts the peer on crossing the suspicion
+  /// emits a Reputation event, and evicts the peer on crossing the suspicion
   /// threshold. No-op when the defense plane is off.
   void observe_reputation(NodeId subject, double outcome);
   /// Arms (or re-arms) the straggler deadline of a watched job from its

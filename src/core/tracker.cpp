@@ -22,54 +22,56 @@ JobRecord* JobTracker::must_find(const JobId& id, const char* context) {
   return &it->second;
 }
 
-void JobTracker::on_submitted(const grid::JobSpec& job, NodeId initiator,
-                              TimePoint at) {
-  auto [it, inserted] = records_.try_emplace(job.id);
+void JobTracker::on_event(TimePoint at, const ProtocolEvent& event) {
+  std::visit([&](const auto& e) { apply(e, at); }, event);
+}
+
+void JobTracker::apply(const event::Submitted& e, TimePoint at) {
+  auto [it, inserted] = records_.try_emplace(e.job.id);
   if (!inserted) {
-    violations_.push_back("job " + job.id.to_string() + " submitted twice");
+    violations_.push_back("job " + e.job.id.to_string() + " submitted twice");
     return;
   }
-  it->second.spec = job;
-  it->second.initiator = initiator;
+  it->second.spec = e.job;
+  it->second.initiator = e.initiator;
   it->second.submitted = at;
 }
 
-void JobTracker::on_request_retry(const JobId& id, std::size_t, TimePoint) {
-  if (JobRecord* r = must_find(id, "retry")) ++r->retries;
+void JobTracker::apply(const event::RequestRetry& e, TimePoint) {
+  if (JobRecord* r = must_find(e.id, "retry")) ++r->retries;
 }
 
-void JobTracker::on_unschedulable(const JobId& id, TimePoint) {
-  if (JobRecord* r = must_find(id, "unschedulable")) {
+void JobTracker::apply(const event::Unschedulable& e, TimePoint) {
+  if (JobRecord* r = must_find(e.id, "unschedulable")) {
     r->unschedulable = true;
     ++unschedulable_;
   }
 }
 
-void JobTracker::on_assigned(const grid::JobSpec& job, NodeId node,
-                             TimePoint at, bool reschedule) {
-  JobRecord* r = must_find(job.id, "assignment");
+void JobTracker::apply(const event::Assigned& e, TimePoint at) {
+  JobRecord* r = must_find(e.job.id, "assignment");
   if (r == nullptr) return;
   // A job that has undergone a recovery is tracked with at-least-once
   // semantics for the rest of its life: the presumed-dead assignee may have
   // been alive all along (only its ACKs/NOTIFYs were lost) and race the
   // recovery round, so re-assignment after a start is legitimate there.
   if (r->started && r->recoveries == 0) {
-    violations_.push_back("job " + job.id.to_string() +
+    violations_.push_back("job " + e.job.id.to_string() +
                           " assigned after execution started");
   }
-  if (r->recoveries == 0 && reschedule != !r->assignments.empty()) {
-    violations_.push_back("job " + job.id.to_string() +
+  if (r->recoveries == 0 && e.reschedule != !r->assignments.empty()) {
+    violations_.push_back("job " + e.job.id.to_string() +
                           " reschedule flag inconsistent with history");
   }
-  if (reschedule) ++reschedules_;
-  r->assignments.emplace_back(node, at);
+  if (e.reschedule) ++reschedules_;
+  r->assignments.emplace_back(e.node, at);
 }
 
-void JobTracker::on_started(const JobId& id, NodeId node, TimePoint at) {
-  JobRecord* r = must_find(id, "start");
+void JobTracker::apply(const event::Started& e, TimePoint at) {
+  JobRecord* r = must_find(e.id, "start");
   if (r == nullptr) return;
   if (r->started && r->recoveries == 0) {
-    violations_.push_back("job " + id.to_string() + " started twice");
+    violations_.push_back("job " + e.id.to_string() + " started twice");
     return;
   }
   // Normally only the latest assignee may start the job; after a recovery
@@ -77,23 +79,22 @@ void JobTracker::on_started(const JobId& id, NodeId node, TimePoint at) {
   // recovery assignee — at-least-once).
   const bool assigned_here =
       r->recoveries > 0
-          ? was_assigned(*r, node)
-          : !r->assignments.empty() && r->assignments.back().first == node;
+          ? was_assigned(*r, e.node)
+          : !r->assignments.empty() && r->assignments.back().first == e.node;
   if (!assigned_here) {
-    violations_.push_back("job " + id.to_string() +
+    violations_.push_back("job " + e.id.to_string() +
                           " started on a node it was not assigned to");
   }
   if (!r->started) r->started = at;
-  r->executor = node;
+  r->executor = e.node;
   ++r->executions;
 }
 
-void JobTracker::on_completed(const JobId& id, NodeId node, TimePoint at,
-                              Duration art) {
-  JobRecord* r = must_find(id, "completion");
+void JobTracker::apply(const event::Completed& e, TimePoint at) {
+  JobRecord* r = must_find(e.id, "completion");
   if (r == nullptr) return;
   if (!r->started) {
-    violations_.push_back("job " + id.to_string() +
+    violations_.push_back("job " + e.id.to_string() +
                           " completed without starting");
     return;
   }
@@ -103,36 +104,36 @@ void JobTracker::on_completed(const JobId& id, NodeId node, TimePoint at,
     // original and the recovered execution legitimately complete. The first
     // completion wins; replays are dropped silently.
     if (r->recoveries == 0) {
-      violations_.push_back("job " + id.to_string() + " completed twice");
+      violations_.push_back("job " + e.id.to_string() + " completed twice");
     }
     return;
   }
-  if (r->executor != node) {
-    if (r->recoveries > 0 && was_assigned(*r, node)) {
+  if (r->executor != e.node) {
+    if (r->recoveries > 0 && was_assigned(*r, e.node)) {
       // The racing execution finished first; record the actual winner.
-      r->executor = node;
+      r->executor = e.node;
     } else {
-      violations_.push_back("job " + id.to_string() +
+      violations_.push_back("job " + e.id.to_string() +
                             " completed on a different node than it started");
     }
   }
   r->completed = at;
-  r->art = art;
+  r->art = e.art;
   ++completed_;
 }
 
-void JobTracker::on_recovery(const JobId& id, std::size_t, TimePoint) {
-  if (JobRecord* r = must_find(id, "recovery")) {
+void JobTracker::apply(const event::Recovery& e, TimePoint) {
+  if (JobRecord* r = must_find(e.id, "recovery")) {
     ++r->recoveries;
     ++recoveries_;
   }
 }
 
-void JobTracker::on_abandoned(const JobId& id, TimePoint) {
-  JobRecord* r = must_find(id, "abandonment");
+void JobTracker::apply(const event::Abandoned& e, TimePoint) {
+  JobRecord* r = must_find(e.id, "abandonment");
   if (r == nullptr) return;
   if (r->done()) {
-    violations_.push_back("job " + id.to_string() +
+    violations_.push_back("job " + e.id.to_string() +
                           " abandoned after completing");
     return;
   }
@@ -142,15 +143,15 @@ void JobTracker::on_abandoned(const JobId& id, TimePoint) {
   }
 }
 
-void JobTracker::on_shed(const grid::JobSpec& job, NodeId, TimePoint) {
-  if (JobRecord* r = must_find(job.id, "shed")) {
+void JobTracker::apply(const event::Shed& e, TimePoint) {
+  if (JobRecord* r = must_find(e.job.id, "shed")) {
     ++r->sheds;
     ++sheds_;
   }
 }
 
-void JobTracker::on_rejected(const JobId& id, NodeId, TimePoint) {
-  if (JobRecord* r = must_find(id, "rejection")) {
+void JobTracker::apply(const event::Rejected& e, TimePoint) {
+  if (JobRecord* r = must_find(e.id, "rejection")) {
     ++r->rejects;
     ++rejects_;
   }

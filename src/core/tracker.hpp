@@ -61,21 +61,7 @@ struct JobRecord {
 
 class JobTracker final : public ProtocolObserver {
  public:
-  void on_submitted(const grid::JobSpec& job, NodeId initiator,
-                    TimePoint at) override;
-  void on_request_retry(const JobId& id, std::size_t attempt,
-                        TimePoint at) override;
-  void on_unschedulable(const JobId& id, TimePoint at) override;
-  void on_assigned(const grid::JobSpec& job, NodeId node, TimePoint at,
-                   bool reschedule) override;
-  void on_started(const JobId& id, NodeId node, TimePoint at) override;
-  void on_completed(const JobId& id, NodeId node, TimePoint at,
-                    Duration art) override;
-  void on_recovery(const JobId& id, std::size_t attempt,
-                   TimePoint at) override;
-  void on_abandoned(const JobId& id, TimePoint at) override;
-  void on_shed(const grid::JobSpec& job, NodeId node, TimePoint at) override;
-  void on_rejected(const JobId& id, NodeId node, TimePoint at) override;
+  void on_event(TimePoint at, const ProtocolEvent& event) override;
 
   const std::unordered_map<JobId, JobRecord>& records() const {
     return records_;
@@ -105,6 +91,19 @@ class JobTracker final : public ProtocolObserver {
 
  private:
   JobRecord* must_find(const JobId& id, const char* context);
+
+  void apply(const event::Submitted& e, TimePoint at);
+  void apply(const event::RequestRetry& e, TimePoint at);
+  void apply(const event::Unschedulable& e, TimePoint at);
+  void apply(const event::Assigned& e, TimePoint at);
+  void apply(const event::Started& e, TimePoint at);
+  void apply(const event::Completed& e, TimePoint at);
+  void apply(const event::Recovery& e, TimePoint at);
+  void apply(const event::Abandoned& e, TimePoint at);
+  void apply(const event::Shed& e, TimePoint at);
+  void apply(const event::Rejected& e, TimePoint at);
+  /// Bids, delegations and the hierarchy/defense events leave no record.
+  void apply(const auto&, TimePoint) {}
 
   std::unordered_map<JobId, JobRecord> records_;
   std::vector<std::string> violations_;

@@ -181,18 +181,4 @@ double Topology::average_path_length() const {
   return static_cast<double>(total) / static_cast<double>(pairs);
 }
 
-std::size_t Topology::diameter() const {
-  std::size_t best = 0;
-  std::vector<std::uint32_t> dist;
-  std::vector<NodeId> queue;
-  for (std::size_t i = 0; i < present_.size(); ++i) {
-    if (!present_[i]) continue;
-    bfs_all(NodeId{static_cast<std::uint32_t>(i)}, dist, queue);
-    if (!queue.empty()) {
-      best = std::max<std::size_t>(best, dist[queue.back().index()]);
-    }
-  }
-  return best;
-}
-
 }  // namespace aria::overlay

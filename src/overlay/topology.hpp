@@ -83,9 +83,6 @@ class Topology {
   /// 0 for fewer than two nodes.
   double average_path_length() const;
 
-  /// Longest shortest path over reachable pairs.
-  std::size_t diameter() const;
-
  private:
   static constexpr std::uint32_t kUnvisited = UINT32_MAX;
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -55,10 +56,11 @@ class Message {
   virtual std::uint32_t flood_hops_left() const { return kNoHops; }
 };
 
-/// Observer of sends, for the tracing plane (src/trace). Attached like the
-/// FaultPlane — a non-owning pointer the network never dereferences unless
-/// set — so the sim layer needs no dependency on the trace library and an
-/// unattached tap leaves the send path exactly as it was.
+/// Observer of sends, for the trace, audit and journal planes. Attached like
+/// the FaultPlane — a non-owning pointer the network never dereferences
+/// unless set — so the sim layer needs no dependency on those libraries and
+/// an unattached tap leaves the send path exactly as it was. Several
+/// subscribers share the one slot through a TapList.
 class MessageTap {
  public:
   virtual ~MessageTap() = default;
@@ -69,6 +71,36 @@ class MessageTap {
   /// Must not send messages or mutate simulation state.
   virtual void on_message(NodeId from, NodeId to, const Message& message,
                           TimePoint sent, TimePoint deliver, bool faulted) = 0;
+};
+
+/// Flat fan-out of the wire stream to several taps. Each subscription
+/// samples with its own counter in the Network's arithmetic (every Nth send
+/// it sees, counted deterministically; 0 is treated as 1), so a subscriber
+/// gets the same stream whoever else is subscribed. Install the list with
+/// Network::set_tap(&list, 1) so it sees every send.
+class TapList final : public MessageTap {
+ public:
+  /// Subscribes `tap` (non-owning; must outlive the list).
+  void add(MessageTap* tap, std::uint64_t sample_every) {
+    subs_.push_back({tap, sample_every == 0 ? 1 : sample_every, 0});
+  }
+  bool empty() const { return subs_.empty(); }
+
+  void on_message(NodeId from, NodeId to, const Message& message,
+                  TimePoint sent, TimePoint deliver, bool faulted) override {
+    for (Subscription& s : subs_) {
+      if (s.counter++ % s.every != 0) continue;
+      s.tap->on_message(from, to, message, sent, deliver, faulted);
+    }
+  }
+
+ private:
+  struct Subscription {
+    MessageTap* tap;
+    std::uint64_t every;
+    std::uint64_t counter;
+  };
+  std::vector<Subscription> subs_;
 };
 
 struct Envelope {

@@ -40,9 +40,9 @@
 
 namespace aria::sim::pdes {
 
-/// Shared flag + serial counter stamping engine-phase observer callbacks.
+/// Shared flag + serial counter stamping engine-phase observer events.
 /// The coordinator raises `active` for the engine phases (and leaves it
-/// raised outside run(), covering build-time callbacks) and clears it for
+/// raised outside run(), covering build-time events) and clears it for
 /// every shard window, whether it runs the window itself or releases the
 /// workers into it; per-shard recorders read it to give engine-phase
 /// events a single global order. All accesses are separated by the

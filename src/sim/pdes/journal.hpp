@@ -41,8 +41,8 @@ struct JournalEntry {
 
 /// One journal per Network (one per shard in a sharded run): on_message is
 /// called from that shard's worker only, so no synchronization is needed.
-/// Attach with Network::set_tap(journal, 1) — sampling must be 1, the
-/// contract is *every* send.
+/// Attach with Network::set_tap(journal, 1) or TapList::add(journal, 1) —
+/// sampling must be 1, the contract is *every* send.
 class EventJournal final : public MessageTap {
  public:
   void on_message(NodeId from, NodeId to, const Message& message,

@@ -1,6 +1,4 @@
-// TraceSink: where trace records go. The production sink is TraceBuffer, a
-// bounded in-memory ring; tests may substitute their own sink to observe
-// the raw stream.
+// TraceBuffer: where trace records go (docs/tracing.md).
 #pragma once
 
 #include <algorithm>
@@ -11,24 +9,12 @@
 
 namespace aria::trace {
 
-/// Abstract record consumer. Implementations must be O(1) per record —
-/// record() runs inside protocol handlers and the network send path.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-
-  /// Consumes one record. The sink assigns `r.seq` (callers leave it 0);
-  /// sequence numbers are global across both streams, so merging on `seq`
-  /// reconstructs exact collection order.
-  virtual void record(TraceRecord r) = 0;
-};
-
 /// Bounded binary collection buffer: two pre-sized rings (job lifecycle vs
 /// sampled wire messages) with drop-newest overflow. Dropping the *newest*
 /// records keeps every captured span's beginning intact — a truncated trace
 /// shows complete early history rather than orphaned span ends — and the
 /// dropped counters make truncation explicit instead of silent.
-class TraceBuffer final : public TraceSink {
+class TraceBuffer {
  public:
   explicit TraceBuffer(const TraceConfig& config) : config_{config} {
     // Pre-size to modest starting chunks; capacity is a cap, not a reserve,
@@ -38,7 +24,11 @@ class TraceBuffer final : public TraceSink {
         std::min<std::size_t>(config_.message_ring_capacity, 4096));
   }
 
-  void record(TraceRecord r) override {
+  /// Consumes one record in O(1) — it runs inside protocol handlers and
+  /// the network send path. The buffer assigns `r.seq` (callers leave it
+  /// 0); sequence numbers are global across both streams, so merging on
+  /// `seq` reconstructs exact collection order.
+  void record(TraceRecord r) {
     r.seq = seq_++;
     if (r.kind == TraceEventKind::kMsg) {
       append(message_events_, config_.message_ring_capacity, r,

@@ -1,119 +1,113 @@
 #include "trace/collector.hpp"
 
+#include <type_traits>
+
 namespace aria::trace {
 
 namespace {
-TraceRecord make(TraceEventKind kind, TimePoint at, const JobId& job,
-                 NodeId node) {
-  TraceRecord r;
-  r.kind = kind;
-  r.at = at;
-  r.job = job;
-  r.node = node;
-  return r;
+
+namespace ev = proto::event;
+
+template <TraceEventKind K, class Event>
+constexpr bool kAligned = std::is_same_v<
+    std::variant_alternative_t<static_cast<std::size_t>(K),
+                               proto::ProtocolEvent>,
+    Event>;
+static_assert(kAligned<TraceEventKind::kSubmitted, ev::Submitted> &&
+              kAligned<TraceEventKind::kRetry, ev::RequestRetry> &&
+              kAligned<TraceEventKind::kUnschedulable, ev::Unschedulable> &&
+              kAligned<TraceEventKind::kBidSent, ev::BidSent> &&
+              kAligned<TraceEventKind::kBidReceived, ev::BidReceived> &&
+              kAligned<TraceEventKind::kDelegated, ev::Delegated> &&
+              kAligned<TraceEventKind::kAssigned, ev::Assigned> &&
+              kAligned<TraceEventKind::kStarted, ev::Started> &&
+              kAligned<TraceEventKind::kCompleted, ev::Completed> &&
+              kAligned<TraceEventKind::kRecovery, ev::Recovery> &&
+              kAligned<TraceEventKind::kAbandoned, ev::Abandoned> &&
+              kAligned<TraceEventKind::kShed, ev::Shed> &&
+              kAligned<TraceEventKind::kRejected, ev::Rejected>,
+              "lifecycle TraceEventKinds mirror ProtocolEvent's alternatives");
+
+// Per-event payload; `kind` and `at` are already set. Field meanings are
+// documented on TraceEventKind.
+void fill(TraceRecord& r, const ev::Submitted& e) {
+  r.job = e.job.id;
+  r.node = e.initiator;
 }
+void fill(TraceRecord& r, const ev::RequestRetry& e) {
+  r.job = e.id;
+  r.a = static_cast<std::uint32_t>(e.attempt);
+}
+void fill(TraceRecord& r, const ev::Unschedulable& e) { r.job = e.id; }
+void fill(TraceRecord& r, const ev::BidSent& e) {
+  r.job = e.id;
+  r.node = e.bidder;
+  r.peer = e.to;
+  r.value = e.cost;
+}
+void fill(TraceRecord& r, const ev::BidReceived& e) {
+  r.job = e.id;
+  r.node = e.collector;
+  r.peer = e.bidder;
+  r.value = e.cost;
+}
+void fill(TraceRecord& r, const ev::Delegated& e) {
+  r.job = e.id;
+  r.node = e.from;
+  r.peer = e.to;
+  r.flags = e.reschedule ? TraceRecord::kReschedule : 0;
+}
+void fill(TraceRecord& r, const ev::Assigned& e) {
+  r.job = e.job.id;
+  r.node = e.node;
+  r.flags = e.reschedule ? TraceRecord::kReschedule : 0;
+}
+void fill(TraceRecord& r, const ev::Started& e) {
+  r.job = e.id;
+  r.node = e.node;
+}
+void fill(TraceRecord& r, const ev::Completed& e) {
+  r.job = e.id;
+  r.node = e.node;
+  r.value = e.art.to_seconds();
+}
+void fill(TraceRecord& r, const ev::Recovery& e) {
+  r.job = e.id;
+  r.a = static_cast<std::uint32_t>(e.attempt);
+}
+void fill(TraceRecord& r, const ev::Abandoned& e) { r.job = e.id; }
+void fill(TraceRecord& r, const ev::Shed& e) {
+  r.job = e.job.id;
+  r.node = e.node;
+}
+void fill(TraceRecord& r, const ev::Rejected& e) {
+  r.job = e.id;
+  r.node = e.node;
+}
+void fill(TraceRecord&, const auto&) {}  // untraced: never reached
+
 }  // namespace
 
-TraceCollector::TraceCollector(const TraceConfig& config,
-                               proto::ProtocolObserver* next)
-    : buffer_{std::make_shared<TraceBuffer>(config)}, next_{next} {}
+TraceCollector::TraceCollector(const TraceConfig& config)
+    : buffer_{std::make_shared<TraceBuffer>(config)} {}
 
-void TraceCollector::on_submitted(const grid::JobSpec& job, NodeId initiator,
-                                  TimePoint at) {
-  if (next_) next_->on_submitted(job, initiator, at);
-  buffer_->record(make(TraceEventKind::kSubmitted, at, job.id, initiator));
-}
-
-void TraceCollector::on_request_retry(const JobId& id, std::size_t attempt,
-                                      TimePoint at) {
-  if (next_) next_->on_request_retry(id, attempt, at);
-  TraceRecord r = make(TraceEventKind::kRetry, at, id, kInvalidNode);
-  r.a = static_cast<std::uint32_t>(attempt);
+void TraceCollector::on_event(TimePoint at,
+                              const proto::ProtocolEvent& event) {
+  if (event.index() >= static_cast<std::size_t>(TraceEventKind::kMsg)) return;
+  TraceRecord r;
+  r.kind = static_cast<TraceEventKind>(event.index());
+  r.at = at;
+  std::visit([&r](const auto& e) { fill(r, e); }, event);
   buffer_->record(r);
-}
-
-void TraceCollector::on_unschedulable(const JobId& id, TimePoint at) {
-  if (next_) next_->on_unschedulable(id, at);
-  buffer_->record(make(TraceEventKind::kUnschedulable, at, id, kInvalidNode));
-}
-
-void TraceCollector::on_bid_sent(const JobId& id, NodeId bidder, NodeId to,
-                                 double cost, TimePoint at) {
-  if (next_) next_->on_bid_sent(id, bidder, to, cost, at);
-  TraceRecord r = make(TraceEventKind::kBidSent, at, id, bidder);
-  r.peer = to;
-  r.value = cost;
-  buffer_->record(r);
-}
-
-void TraceCollector::on_bid_received(const JobId& id, NodeId collector,
-                                     NodeId bidder, double cost,
-                                     TimePoint at) {
-  if (next_) next_->on_bid_received(id, collector, bidder, cost, at);
-  TraceRecord r = make(TraceEventKind::kBidReceived, at, id, collector);
-  r.peer = bidder;
-  r.value = cost;
-  buffer_->record(r);
-}
-
-void TraceCollector::on_delegated(const JobId& id, NodeId from, NodeId to,
-                                  TimePoint at, bool reschedule) {
-  if (next_) next_->on_delegated(id, from, to, at, reschedule);
-  TraceRecord r = make(TraceEventKind::kDelegated, at, id, from);
-  r.peer = to;
-  if (reschedule) r.flags |= TraceRecord::kReschedule;
-  buffer_->record(r);
-}
-
-void TraceCollector::on_assigned(const grid::JobSpec& job, NodeId node,
-                                 TimePoint at, bool reschedule) {
-  if (next_) next_->on_assigned(job, node, at, reschedule);
-  TraceRecord r = make(TraceEventKind::kAssigned, at, job.id, node);
-  if (reschedule) r.flags |= TraceRecord::kReschedule;
-  buffer_->record(r);
-}
-
-void TraceCollector::on_started(const JobId& id, NodeId node, TimePoint at) {
-  if (next_) next_->on_started(id, node, at);
-  buffer_->record(make(TraceEventKind::kStarted, at, id, node));
-}
-
-void TraceCollector::on_completed(const JobId& id, NodeId node, TimePoint at,
-                                  Duration art) {
-  if (next_) next_->on_completed(id, node, at, art);
-  TraceRecord r = make(TraceEventKind::kCompleted, at, id, node);
-  r.value = art.to_seconds();
-  buffer_->record(r);
-}
-
-void TraceCollector::on_recovery(const JobId& id, std::size_t attempt,
-                                 TimePoint at) {
-  if (next_) next_->on_recovery(id, attempt, at);
-  TraceRecord r = make(TraceEventKind::kRecovery, at, id, kInvalidNode);
-  r.a = static_cast<std::uint32_t>(attempt);
-  buffer_->record(r);
-}
-
-void TraceCollector::on_abandoned(const JobId& id, TimePoint at) {
-  if (next_) next_->on_abandoned(id, at);
-  buffer_->record(make(TraceEventKind::kAbandoned, at, id, kInvalidNode));
-}
-
-void TraceCollector::on_shed(const grid::JobSpec& job, NodeId node,
-                             TimePoint at) {
-  if (next_) next_->on_shed(job, node, at);
-  buffer_->record(make(TraceEventKind::kShed, at, job.id, node));
-}
-
-void TraceCollector::on_rejected(const JobId& id, NodeId node, TimePoint at) {
-  if (next_) next_->on_rejected(id, node, at);
-  buffer_->record(make(TraceEventKind::kRejected, at, id, node));
 }
 
 void TraceCollector::on_message(NodeId from, NodeId to,
                                 const sim::Message& message, TimePoint sent,
                                 TimePoint deliver, bool faulted) {
-  TraceRecord r = make(TraceEventKind::kMsg, sent, JobId{}, from);
+  TraceRecord r;
+  r.kind = TraceEventKind::kMsg;
+  r.at = sent;
+  r.node = from;
   r.peer = to;
   r.end = deliver;
   r.value = static_cast<double>(message.wire_size());

@@ -1,66 +1,42 @@
-// TraceCollector: turns protocol-observer callbacks and network-tap events
-// into TraceRecords.
+// TraceCollector: turns protocol events and network-tap sends into
+// TraceRecords.
 //
-// The collector is a *decorator*: it wraps the run's existing observer
-// (normally the JobTracker) and forwards every callback unchanged, so
-// attaching tracing never alters what the tracker — and therefore every
-// golden metric — sees. It also implements sim::MessageTap for the sampled
-// wire-message stream. Construction only happens when TraceConfig::enabled
-// is true; a disabled trace plane has no collector, no decorated observer
-// and no tap, which is what keeps default output byte-identical
-// (docs/tracing.md).
+// The collector is one subscriber among several: the engine adds it to the
+// run's proto::ObserverList beside the JobTracker and to the
+// sim::TapList feeding the Network, at trace.message_sample_every. It
+// only records; it never forwards, sends or draws randomness, so attaching
+// it never alters what any other subscriber sees. Construction only happens
+// when TraceConfig::enabled is true; a disabled trace plane has no
+// collector and no subscriptions, which is what keeps default output
+// byte-identical (docs/tracing.md).
 #pragma once
 
 #include <memory>
 
 #include "core/observer.hpp"
 #include "sim/network.hpp"
-#include "trace/sink.hpp"
+#include "trace/buffer.hpp"
 
 namespace aria::trace {
 
 class TraceCollector final : public proto::ProtocolObserver,
                              public sim::MessageTap {
  public:
-  /// `next` (may be null) receives every observer callback unchanged,
-  /// before the record is collected.
-  explicit TraceCollector(const TraceConfig& config,
-                          proto::ProtocolObserver* next = nullptr);
+  explicit TraceCollector(const TraceConfig& config);
 
   /// The collected stream; shared so RunResult can keep it alive after the
   /// simulation (and its collector) is gone.
   std::shared_ptr<const TraceBuffer> buffer() const { return buffer_; }
 
-  // --- proto::ProtocolObserver ------------------------------------------
-  void on_submitted(const grid::JobSpec& job, NodeId initiator,
-                    TimePoint at) override;
-  void on_request_retry(const JobId& id, std::size_t attempt,
-                        TimePoint at) override;
-  void on_unschedulable(const JobId& id, TimePoint at) override;
-  void on_bid_sent(const JobId& id, NodeId bidder, NodeId to, double cost,
-                   TimePoint at) override;
-  void on_bid_received(const JobId& id, NodeId collector, NodeId bidder,
-                       double cost, TimePoint at) override;
-  void on_delegated(const JobId& id, NodeId from, NodeId to, TimePoint at,
-                    bool reschedule) override;
-  void on_assigned(const grid::JobSpec& job, NodeId node, TimePoint at,
-                   bool reschedule) override;
-  void on_started(const JobId& id, NodeId node, TimePoint at) override;
-  void on_completed(const JobId& id, NodeId node, TimePoint at,
-                    Duration art) override;
-  void on_recovery(const JobId& id, std::size_t attempt,
-                   TimePoint at) override;
-  void on_abandoned(const JobId& id, TimePoint at) override;
-  void on_shed(const grid::JobSpec& job, NodeId node, TimePoint at) override;
-  void on_rejected(const JobId& id, NodeId node, TimePoint at) override;
+  /// Records one lifecycle event as the TraceEventKind of the same index;
+  /// the hierarchy and defense events past kRejected are not traced.
+  void on_event(TimePoint at, const proto::ProtocolEvent& event) override;
 
-  // --- sim::MessageTap ---------------------------------------------------
   void on_message(NodeId from, NodeId to, const sim::Message& message,
                   TimePoint sent, TimePoint deliver, bool faulted) override;
 
  private:
   std::shared_ptr<TraceBuffer> buffer_;
-  proto::ProtocolObserver* next_;
 };
 
 }  // namespace aria::trace

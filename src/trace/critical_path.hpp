@@ -10,7 +10,7 @@
 #include "common/stats.hpp"
 #include "common/time.hpp"
 #include "common/uuid.hpp"
-#include "trace/sink.hpp"
+#include "trace/buffer.hpp"
 
 namespace aria::trace {
 

@@ -12,7 +12,7 @@
 
 #include <iosfwd>
 
-#include "trace/sink.hpp"
+#include "trace/buffer.hpp"
 
 namespace aria::trace {
 

@@ -22,8 +22,9 @@
 
 namespace aria::trace {
 
-/// What happened. Job-lifecycle kinds mirror proto::ProtocolObserver
-/// callbacks one-to-one; kMsg records come from the network tap.
+/// What happened. Job-lifecycle kinds mirror the first 13 alternatives of
+/// proto::ProtocolEvent one-to-one, in order; kMsg records come from the
+/// network tap.
 enum class TraceEventKind : std::uint8_t {
   kSubmitted = 0,   // user handed the job to `node` (the initiator)
   kRetry,           // REQUEST flood drew no offers; attempt `a` upcoming
@@ -82,8 +83,9 @@ static_assert(sizeof(TraceRecord) <= 80, "keep trace records cache-friendly");
 /// Collection knobs. Everything defaults to off; an enabled default-config
 /// trace captures every lifecycle event and every 16th wire message.
 struct TraceConfig {
-  /// Master switch. Off ⇒ no collector exists, no observer decoration, no
-  /// network tap: default output stays byte-identical (docs/tracing.md).
+  /// Master switch. Off ⇒ no collector exists and nothing subscribes to
+  /// the observer or tap list: default output stays byte-identical
+  /// (docs/tracing.md).
   bool enabled{false};
   /// Ring bound for job-lifecycle records. Full ⇒ newest records are
   /// dropped (and counted), so span *beginnings* stay coherent.

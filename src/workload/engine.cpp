@@ -208,19 +208,17 @@ void GridSimulation::build() {
     faults_ = std::make_unique<sim::FaultPlane>(fc);
     net_->set_fault_plane(faults_.get());
   }
+  // Flat subscriber lists (docs/audit.md): the tracker, then the tracer
+  // and the auditor, each seeing every event; on the wire each tap samples
+  // with its own counter and draws no RNG, so no subscriber perturbs the
+  // simulation or what another subscriber records.
+  observers_.add(&tracker_);
   if (config_.trace.enabled) {
-    // Decorator: the collector forwards every callback to the tracker
-    // unchanged, and its sampling counter draws no RNG — tracing perturbs
-    // neither the metrics nor the event stream (docs/tracing.md).
-    tracer_ = std::make_unique<trace::TraceCollector>(config_.trace, &tracker_);
-    net_->set_tap(tracer_.get(), config_.trace.message_sample_every);
+    tracer_ = std::make_unique<trace::TraceCollector>(config_.trace);
+    observers_.add(tracer_.get());
+    taps_.add(tracer_.get(), config_.trace.message_sample_every);
   }
   if (config_.audit.enabled) {
-    // Outermost decorator: auditor -> (tracer ->) tracker. The auditor
-    // needs every wire message (invariants cannot be sampled), so it takes
-    // the tap slot at sample_every 1 and re-samples for the tracer with the
-    // Network's own counter arithmetic — trace output stays byte-identical
-    // whether or not the auditor sits in between (docs/audit.md).
     audit::AuditContext actx;
     actx.node_count = config_.expansion
                           ? std::max(config_.node_count,
@@ -246,15 +244,9 @@ void GridSimulation::build() {
         return fp->adversary_role(id).has_value();
       };
     }
-    auditor_ = std::make_unique<audit::AuditCollector>(
-        config_.audit, actx,
-        tracer_ ? static_cast<proto::ProtocolObserver*>(tracer_.get())
-                : &tracker_);
-    net_->set_tap(auditor_.get(), 1);
-    if (tracer_) {
-      auditor_->set_forward_tap(tracer_.get(),
-                                config_.trace.message_sample_every);
-    }
+    auditor_ = std::make_unique<audit::AuditCollector>(config_.audit, actx);
+    observers_.add(auditor_.get());
+    taps_.add(auditor_.get(), 1);
   }
   relay_ = std::make_unique<overlay::FloodRelay>(topo_, rng_.fork(2));
   // Entries a late duplicate re-creates after the protocol's explicit
@@ -265,8 +257,10 @@ void GridSimulation::build() {
   jobgen_ = std::make_unique<JobGenerator>(config_.jobs, rng_.fork(4));
   // Sharded execution (docs/pdes.md): validates the plane combination,
   // then stands up the per-shard simulators/networks/relays the node
-  // contexts below are redirected at. Null fabric when shards == 1.
+  // contexts below are redirected at. Null fabric when shards == 1, where
+  // the send journal (if any) joins taps_ instead.
   build_shard_fabric();
+  if (!taps_.empty()) net_->set_tap(&taps_, 1);
 
   build_overlay();
   build_nodes();
@@ -340,11 +334,7 @@ void GridSimulation::spawn_node() {
   ctx.relay = relay_.get();
   ctx.config = &config_.aria;
   ctx.ert_error = &ert_error_;
-  ctx.observer =
-      auditor_
-          ? static_cast<proto::ProtocolObserver*>(auditor_.get())
-          : (tracer_ ? static_cast<proto::ProtocolObserver*>(tracer_.get())
-                     : &tracker_);
+  ctx.observer = &observers_;
   ctx.idle_gauge = &idle_nodes_;
   if (config_.aria.healing.enabled) ctx.healing_topo = &topo_;
   // Adversary-plane wiring: nodes ask the fault plane for their role at

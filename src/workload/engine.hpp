@@ -240,13 +240,14 @@ class GridSimulation {
 
   // --- sharded execution (engine_pdes.cpp) -------------------------------
   /// Rejects plane combinations the sharded executor cannot run (throws
-  /// std::invalid_argument), then constructs fabric_ when shards > 1.
+  /// std::invalid_argument), then constructs fabric_ when shards > 1 or
+  /// subscribes the send journal to taps_ when shards == 1.
   void build_shard_fabric();
   /// Redirects a node's context at its shard's simulator/network/relay/
   /// recorder/idle gauge; no-op semantics when fabric_ is null.
   void fill_shard_context(proto::NodeContext& ctx, NodeId id);
   /// Runs the conservative executor to the horizon, replays the recorded
-  /// observer logs into tracker_, folds shard meters into net_/faults_, and
+  /// observer logs into observers_, folds shard meters into net_/faults_, and
   /// returns the number of events fired on the shard simulators.
   std::uint64_t run_sharded();
   std::size_t pdes_idle_sum() const;
@@ -267,17 +268,24 @@ class GridSimulation {
   std::unique_ptr<overlay::BlatantMaintainer> maintainer_;
   grid::ErtErrorModel ert_error_;
   proto::JobTracker tracker_;
-  /// Null unless config_.trace.enabled; decorates tracker_ as the nodes'
-  /// observer and taps net_ for sampled wire messages.
+  /// Null unless config_.trace.enabled; subscribed to observers_ and to
+  /// taps_ at trace.message_sample_every (docs/tracing.md).
   std::unique_ptr<trace::TraceCollector> tracer_;
-  /// Null unless config_.audit.enabled; outermost observer decorator
-  /// (auditor -> tracer -> tracker) and the network tap (sample_every 1,
-  /// re-sampling forwards to the tracer). See docs/audit.md.
+  /// Null unless config_.audit.enabled; subscribed to observers_ and to
+  /// taps_ at sample_every 1 (docs/audit.md).
   std::unique_ptr<audit::AuditCollector> auditor_;
   std::unique_ptr<JobGenerator> jobgen_;
-  /// Sequential-mode send journal (config_.pdes_journal, shards == 1);
-  /// sharded runs keep per-shard journals inside fabric_ instead.
+  /// Sequential-mode send journal (config_.pdes_journal, shards == 1),
+  /// subscribed to taps_ at sample_every 1; sharded runs keep per-shard
+  /// journals inside fabric_ instead.
   std::unique_ptr<sim::pdes::EventJournal> journal_;
+  /// The nodes' observer: tracker_, then tracer_ and auditor_ when armed
+  /// (the order in which their side effects apply). Sharded runs replay
+  /// the shard recorders into it.
+  proto::ObserverList observers_;
+  /// net_'s wire subscribers; installed in net_ only when non-empty, so a
+  /// run without trace, audit or journal keeps the tap-free send path.
+  sim::TapList taps_;
   /// Sharded-execution state (null when shards == 1). Declared before the
   /// node arena: node destructors detach from their shard network and
   /// cancel events on their shard simulator.

@@ -40,6 +40,34 @@ struct PdesFabric {
   sim::pdes::ShardExecutor::Stats stats;
 };
 
+namespace {
+
+/// Refuses plane combinations the executor cannot host (docs/pdes.md
+/// "Gated planes") before anything runs: healing mutates the shared
+/// topology from node code inside windows, tracing and auditing funnel
+/// every shard's messages into one collector, and expansion adds nodes
+/// (and topology links) mid-run.
+void require_shardable(const ScenarioConfig& config) {
+  if (config.shards == 0) {
+    throw std::invalid_argument("shards must be >= 1");
+  }
+  if (config.shards == 1) return;
+  if (config.aria.healing.enabled) {
+    throw std::invalid_argument("shards > 1 is incompatible with the healing "
+                                "plane (docs/pdes.md)");
+  }
+  if (config.trace.enabled || config.audit.enabled) {
+    throw std::invalid_argument("shards > 1 is incompatible with tracing and "
+                                "auditing (docs/pdes.md)");
+  }
+  if (config.expansion) {
+    throw std::invalid_argument("shards > 1 is incompatible with network "
+                                "expansion (docs/pdes.md)");
+  }
+}
+
+}  // namespace
+
 // Constructor and destructor live here — not in engine.cpp — so
 // unique_ptr<PdesFabric> / unique_ptr<EventJournal> can sit behind
 // incomplete types in the header (both need the complete type for member
@@ -59,36 +87,13 @@ GridSimulation::GridSimulation(ScenarioConfig config, std::uint64_t seed)
 GridSimulation::~GridSimulation() = default;
 
 void GridSimulation::build_shard_fabric() {
-  if (config_.shards == 0) {
-    throw std::invalid_argument("shards must be >= 1");
-  }
-  if (config_.pdes_journal && (config_.trace.enabled || config_.audit.enabled)) {
-    throw std::invalid_argument(
-        "pdes_journal takes the network tap slot and cannot be combined "
-        "with tracing or auditing");
-  }
+  require_shardable(config_);
   if (config_.shards == 1) {
     if (config_.pdes_journal) {
       journal_ = std::make_unique<sim::pdes::EventJournal>();
-      net_->set_tap(journal_.get(), 1);
+      taps_.add(journal_.get(), 1);
     }
     return;
-  }
-  // Planes the executor cannot host (docs/pdes.md "Gated planes"): healing
-  // mutates the shared topology from node code inside windows, tracing and
-  // auditing funnel every shard's messages into one collector, and
-  // expansion adds nodes (and topology links) mid-run.
-  if (config_.aria.healing.enabled) {
-    throw std::invalid_argument("shards > 1 is incompatible with the healing "
-                                "plane (docs/pdes.md)");
-  }
-  if (config_.trace.enabled || config_.audit.enabled) {
-    throw std::invalid_argument("shards > 1 is incompatible with tracing and "
-                                "auditing (docs/pdes.md)");
-  }
-  if (config_.expansion) {
-    throw std::invalid_argument("shards > 1 is incompatible with network "
-                                "expansion (docs/pdes.md)");
   }
 
   fabric_ = std::make_unique<PdesFabric>();
@@ -176,12 +181,13 @@ std::uint64_t GridSimulation::run_sharded() {
                                 std::move(nets), cfg};
   f.stats = exec.run();
 
-  // Replay the per-shard observer logs into the real tracker in canonical
-  // order, on this thread — the tracker never sees concurrent callbacks.
+  // Replay the per-shard observer logs into the engine's observer list (the
+  // tracker alone: tracing and auditing are gated) in canonical order, on
+  // this thread — the tracker never sees concurrent events.
   std::vector<const RecordingObserver*> recorders;
   recorders.reserve(f.recorders.size());
   for (const auto& r : f.recorders) recorders.push_back(r.get());
-  RecordingObserver::replay(recorders, tracker_);
+  RecordingObserver::replay(recorders, observers_);
 
   // Fold shard meters into the engine-side objects so harvesting below
   // reads one place in both execution modes.
@@ -340,6 +346,8 @@ PdesEquivalence verify_sharded_equivalence(ScenarioConfig scenario,
         "the oracle)");
   }
   scenario.pdes_journal = true;
+  scenario.shards = shards;
+  require_shardable(scenario);  // refuse before the sequential oracle runs
 
   scenario.shards = 1;
   GridSimulation sequential{scenario, seed};

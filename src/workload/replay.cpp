@@ -4,88 +4,6 @@
 
 namespace aria::workload {
 
-void RecordingObserver::on_submitted(const grid::JobSpec& job,
-                                     NodeId initiator, TimePoint at) {
-  record(at, Submitted{job, initiator});
-}
-
-void RecordingObserver::on_request_retry(const JobId& id, std::size_t attempt,
-                                         TimePoint at) {
-  record(at, RequestRetry{id, attempt});
-}
-
-void RecordingObserver::on_unschedulable(const JobId& id, TimePoint at) {
-  record(at, Unschedulable{id});
-}
-
-void RecordingObserver::on_bid_sent(const JobId& id, NodeId bidder, NodeId to,
-                                    double cost, TimePoint at) {
-  record(at, BidSent{id, bidder, to, cost});
-}
-
-void RecordingObserver::on_bid_received(const JobId& id, NodeId collector,
-                                        NodeId bidder, double cost,
-                                        TimePoint at) {
-  record(at, BidReceived{id, collector, bidder, cost});
-}
-
-void RecordingObserver::on_delegated(const JobId& id, NodeId from, NodeId to,
-                                     TimePoint at, bool reschedule) {
-  record(at, Delegated{id, from, to, reschedule});
-}
-
-void RecordingObserver::on_assigned(const grid::JobSpec& job, NodeId node,
-                                    TimePoint at, bool reschedule) {
-  record(at, Assigned{job, node, reschedule});
-}
-
-void RecordingObserver::on_started(const JobId& id, NodeId node,
-                                   TimePoint at) {
-  record(at, Started{id, node});
-}
-
-void RecordingObserver::on_completed(const JobId& id, NodeId node,
-                                     TimePoint at, Duration art) {
-  record(at, Completed{id, node, art});
-}
-
-void RecordingObserver::on_recovery(const JobId& id, std::size_t attempt,
-                                    TimePoint at) {
-  record(at, Recovery{id, attempt});
-}
-
-void RecordingObserver::on_abandoned(const JobId& id, TimePoint at) {
-  record(at, Abandoned{id});
-}
-
-void RecordingObserver::on_shed(const grid::JobSpec& job, NodeId node,
-                                TimePoint at) {
-  record(at, Shed{job, node});
-}
-
-void RecordingObserver::on_rejected(const JobId& id, NodeId node,
-                                    TimePoint at) {
-  record(at, Rejected{id, node});
-}
-
-void RecordingObserver::on_region_delegated(const JobId& id, NodeId aggregator,
-                                            std::uint32_t from_region,
-                                            std::uint32_t to_region,
-                                            TimePoint at) {
-  record(at, RegionDelegated{id, aggregator, from_region, to_region});
-}
-
-void RecordingObserver::on_digest_clamped(NodeId owner, NodeId from,
-                                          std::uint32_t region,
-                                          std::uint64_t epoch, TimePoint at) {
-  record(at, DigestClamped{owner, from, region, epoch});
-}
-
-void RecordingObserver::on_reputation(NodeId owner, NodeId subject,
-                                      double score, TimePoint at) {
-  record(at, Reputation{owner, subject, score});
-}
-
 void RecordingObserver::replay(
     const std::vector<const RecordingObserver*>& shards,
     proto::ProtocolObserver& target) {
@@ -116,47 +34,7 @@ void RecordingObserver::replay(
 
   for (const Ref& ref : order) {
     const Entry& e = shards[ref.shard]->entries_[ref.index];
-    const TimePoint at = e.at;
-    std::visit(
-        [&](const auto& p) {
-          using P = std::decay_t<decltype(p)>;
-          if constexpr (std::is_same_v<P, Submitted>) {
-            target.on_submitted(p.job, p.initiator, at);
-          } else if constexpr (std::is_same_v<P, RequestRetry>) {
-            target.on_request_retry(p.id, p.attempt, at);
-          } else if constexpr (std::is_same_v<P, Unschedulable>) {
-            target.on_unschedulable(p.id, at);
-          } else if constexpr (std::is_same_v<P, BidSent>) {
-            target.on_bid_sent(p.id, p.bidder, p.to, p.cost, at);
-          } else if constexpr (std::is_same_v<P, BidReceived>) {
-            target.on_bid_received(p.id, p.collector, p.bidder, p.cost, at);
-          } else if constexpr (std::is_same_v<P, Delegated>) {
-            target.on_delegated(p.id, p.from, p.to, at, p.resched);
-          } else if constexpr (std::is_same_v<P, Assigned>) {
-            target.on_assigned(p.job, p.node, at, p.resched);
-          } else if constexpr (std::is_same_v<P, Started>) {
-            target.on_started(p.id, p.node, at);
-          } else if constexpr (std::is_same_v<P, Completed>) {
-            target.on_completed(p.id, p.node, at, p.art);
-          } else if constexpr (std::is_same_v<P, Recovery>) {
-            target.on_recovery(p.id, p.attempt, at);
-          } else if constexpr (std::is_same_v<P, Abandoned>) {
-            target.on_abandoned(p.id, at);
-          } else if constexpr (std::is_same_v<P, Shed>) {
-            target.on_shed(p.job, p.node, at);
-          } else if constexpr (std::is_same_v<P, Rejected>) {
-            target.on_rejected(p.id, p.node, at);
-          } else if constexpr (std::is_same_v<P, RegionDelegated>) {
-            target.on_region_delegated(p.id, p.aggregator, p.from_region,
-                                       p.to_region, at);
-          } else if constexpr (std::is_same_v<P, DigestClamped>) {
-            target.on_digest_clamped(p.owner, p.from, p.region, p.epoch, at);
-          } else {
-            static_assert(std::is_same_v<P, Reputation>);
-            target.on_reputation(p.owner, p.subject, p.score, at);
-          }
-        },
-        e.payload);
+    target.on_event(e.at, e.event);
   }
 }
 

@@ -6,13 +6,13 @@
 // iterates in *insertion* order wherever RunResult sums floats over it, so
 // even a perfectly locked tracker fed in thread-completion order would
 // drift the derived metrics. Instead every shard gets a RecordingObserver
-// that appends callback argument tuples to a private log, and after the run
-// the logs are merged in canonical order and replayed into the real
-// tracker on one thread.
+// that appends each protocol event, as it is, to a private log, and after
+// the run the logs are merged in canonical order and replayed into the
+// engine's observer list on one thread.
 //
 // Canonical merge order: (timestamp, engine-phase entries first in their
 // global serial order, then window entries by (shard, local index)).
-// Engine-phase callbacks (submissions, churn side effects) run serially at
+// Engine-phase events (submissions, churn side effects) run serially at
 // executor barriers and carry a global sequence number, so their relative
 // order is exact; window entries from one shard keep their local causal
 // order, and cross-shard entries at the same microsecond are the accepted
@@ -20,14 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <variant>
 #include <vector>
 
-#include "common/ids.hpp"
 #include "common/time.hpp"
-#include "common/uuid.hpp"
 #include "core/observer.hpp"
-#include "grid/job.hpp"
 #include "sim/pdes/executor.hpp"
 
 namespace aria::workload {
@@ -38,74 +34,20 @@ class RecordingObserver final : public proto::ProtocolObserver {
   /// it is raised get a global serial number. Must outlive the observer.
   explicit RecordingObserver(sim::pdes::EngineStamp* stamp) : stamp_{stamp} {}
 
-  // --- the 16 ProtocolObserver callbacks, recorded verbatim --------------
-  void on_submitted(const grid::JobSpec& job, NodeId initiator,
-                    TimePoint at) override;
-  void on_request_retry(const JobId& id, std::size_t attempt,
-                        TimePoint at) override;
-  void on_unschedulable(const JobId& id, TimePoint at) override;
-  void on_bid_sent(const JobId& id, NodeId bidder, NodeId to,
-                   double cost, TimePoint at) override;
-  void on_bid_received(const JobId& id, NodeId collector, NodeId bidder,
-                       double cost, TimePoint at) override;
-  void on_delegated(const JobId& id, NodeId from, NodeId to,
-                    TimePoint at, bool reschedule) override;
-  void on_assigned(const grid::JobSpec& job, NodeId node, TimePoint at,
-                   bool reschedule) override;
-  void on_started(const JobId& id, NodeId node, TimePoint at) override;
-  void on_completed(const JobId& id, NodeId node, TimePoint at,
-                    Duration art) override;
-  void on_recovery(const JobId& id, std::size_t attempt,
-                   TimePoint at) override;
-  void on_abandoned(const JobId& id, TimePoint at) override;
-  void on_shed(const grid::JobSpec& job, NodeId node, TimePoint at) override;
-  void on_rejected(const JobId& id, NodeId node, TimePoint at) override;
-  void on_region_delegated(const JobId& id, NodeId aggregator,
-                           std::uint32_t from_region, std::uint32_t to_region,
-                           TimePoint at) override;
-  void on_digest_clamped(NodeId owner, NodeId from, std::uint32_t region,
-                         std::uint64_t epoch, TimePoint at) override;
-  void on_reputation(NodeId owner, NodeId subject, double score,
-                     TimePoint at) override;
+  void on_event(TimePoint at, const proto::ProtocolEvent& event) override {
+    const std::uint64_t seq =
+        stamp_ != nullptr && stamp_->active ? stamp_->next++ : kWindowEntry;
+    entries_.push_back(Entry{at, seq, event});
+  }
 
   std::size_t size() const { return entries_.size(); }
 
   /// Merges the observers' logs in canonical order and replays every
-  /// callback into `target` on the calling thread.
+  /// event into `target` on the calling thread.
   static void replay(const std::vector<const RecordingObserver*>& shards,
                      proto::ProtocolObserver& target);
 
  private:
-  struct Submitted { grid::JobSpec job; NodeId initiator; };
-  struct RequestRetry { JobId id; std::size_t attempt; };
-  struct Unschedulable { JobId id; };
-  struct BidSent { JobId id; NodeId bidder; NodeId to; double cost; };
-  struct BidReceived {
-    JobId id; NodeId collector; NodeId bidder; double cost;
-  };
-  struct Delegated { JobId id; NodeId from; NodeId to; bool resched; };
-  struct Assigned { grid::JobSpec job; NodeId node; bool resched; };
-  struct Started { JobId id; NodeId node; };
-  struct Completed { JobId id; NodeId node; Duration art; };
-  struct Recovery { JobId id; std::size_t attempt; };
-  struct Abandoned { JobId id; };
-  struct Shed { grid::JobSpec job; NodeId node; };
-  struct Rejected { JobId id; NodeId node; };
-  struct RegionDelegated {
-    JobId id; NodeId aggregator;
-    std::uint32_t from_region; std::uint32_t to_region;
-  };
-  struct DigestClamped {
-    NodeId owner; NodeId from; std::uint32_t region; std::uint64_t epoch;
-  };
-  struct Reputation { NodeId owner; NodeId subject; double score; };
-
-  using Payload =
-      std::variant<Submitted, RequestRetry, Unschedulable, BidSent,
-                   BidReceived, Delegated, Assigned, Started, Completed,
-                   Recovery, Abandoned, Shed, Rejected, RegionDelegated,
-                   DigestClamped, Reputation>;
-
   static constexpr std::uint64_t kWindowEntry = UINT64_MAX;
 
   struct Entry {
@@ -113,14 +55,8 @@ class RecordingObserver final : public proto::ProtocolObserver {
     /// Global serial number for engine-phase entries; kWindowEntry for
     /// entries recorded inside a parallel window.
     std::uint64_t engine_seq{kWindowEntry};
-    Payload payload;
+    proto::ProtocolEvent event;
   };
-
-  void record(TimePoint at, Payload payload) {
-    const std::uint64_t seq =
-        stamp_ != nullptr && stamp_->active ? stamp_->next++ : kWindowEntry;
-    entries_.push_back(Entry{at, seq, std::move(payload)});
-  }
 
   sim::pdes::EngineStamp* stamp_;
   std::vector<Entry> entries_;

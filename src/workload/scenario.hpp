@@ -78,8 +78,8 @@ struct ScenarioConfig {
   trace::TraceConfig trace{};
 
   // --- invariant auditing ---------------------------------------------------
-  /// Off by default, same zero-cost contract as tracing: no collector, no
-  /// decorated observer, no tap. See docs/audit.md.
+  /// Off by default, same zero-cost contract as tracing: no collector and
+  /// no subscription. See docs/audit.md.
   audit::AuditConfig audit{};
 
   // --- simulation ----------------------------------------------------------

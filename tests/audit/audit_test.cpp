@@ -1,18 +1,22 @@
 // Online invariant auditor (docs/audit.md). Two layers: unit tests drive an
 // AuditCollector directly with synthetic lifecycle events and wire messages
 // to pin every violation kind, and integration tests run real scenarios to
-// pin the two ends of the contract — a clean run (even under the full fault
-// cocktail) audits clean, and attaching the auditor never perturbs a run's
-// metrics or wire traffic.
+// pin the ends of the contract — a clean run (even under the full fault
+// cocktail) audits clean, attaching the auditor never perturbs a run's
+// metrics or wire traffic, and it composes with the other subscribers.
 #include "audit/auditor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/messages.hpp"
+#include "sim/pdes/journal.hpp"
+#include "trace/export.hpp"
 #include "workload/engine.hpp"
 #include "workload/scenario.hpp"
 
@@ -20,6 +24,7 @@ namespace aria::audit {
 namespace {
 
 using namespace aria::literals;
+namespace ev = proto::event;
 
 TimePoint at(std::int64_t minutes) {
   return TimePoint::origin() + Duration::minutes(minutes);
@@ -48,12 +53,12 @@ AuditCollector make_collector(AuditContext ctx = {}) {
 TEST(Audit, CleanLifecycleAuditsClean) {
   AuditCollector a = make_collector();
   const JobId id = job_id(1);
-  a.on_submitted(spec(id), NodeId{0}, at(0));
-  a.on_bid_received(id, NodeId{0}, NodeId{7}, 3.0, at(1));
-  a.on_delegated(id, NodeId{0}, NodeId{7}, at(2), false);
-  a.on_assigned(spec(id), NodeId{7}, at(2), false);
-  a.on_started(id, NodeId{7}, at(3));
-  a.on_completed(id, NodeId{7}, at(13), 10_min);
+  a.on_event(at(0), ev::Submitted{spec(id), NodeId{0}});
+  a.on_event(at(1), ev::BidReceived{id, NodeId{0}, NodeId{7}, 3.0});
+  a.on_event(at(2), ev::Delegated{id, NodeId{0}, NodeId{7}, false});
+  a.on_event(at(2), ev::Assigned{spec(id), NodeId{7}, false});
+  a.on_event(at(3), ev::Started{id, NodeId{7}});
+  a.on_event(at(13), ev::Completed{id, NodeId{7}, 10_min});
   a.finish(at(1000));
   EXPECT_EQ(a.violation_count(), 0u);
   EXPECT_TRUE(a.violations().empty());
@@ -63,9 +68,9 @@ TEST(Audit, CleanLifecycleAuditsClean) {
 TEST(Audit, DelegationWithoutOfferIsFlagged) {
   AuditCollector a = make_collector();
   const JobId id = job_id(2);
-  a.on_submitted(spec(id), NodeId{0}, at(0));
+  a.on_event(at(0), ev::Submitted{spec(id), NodeId{0}});
   // Node 9 never bid, yet the initiator hands the job to it.
-  a.on_delegated(id, NodeId{0}, NodeId{9}, at(1), false);
+  a.on_event(at(1), ev::Delegated{id, NodeId{0}, NodeId{9}, false});
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "assign-without-accept");
   EXPECT_EQ(a.by_kind().at("assign-without-accept"), 1u);
@@ -74,8 +79,8 @@ TEST(Audit, DelegationWithoutOfferIsFlagged) {
 TEST(Audit, DuplicateCompletionWithoutRecoveryIsFlagged) {
   AuditCollector a = make_collector();
   const JobId id = job_id(3);
-  a.on_completed(id, NodeId{4}, at(10), 10_min);
-  a.on_completed(id, NodeId{5}, at(12), 10_min);
+  a.on_event(at(10), ev::Completed{id, NodeId{4}, 10_min});
+  a.on_event(at(12), ev::Completed{id, NodeId{5}, 10_min});
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "duplicate-completion");
 }
@@ -85,9 +90,9 @@ TEST(Audit, RecoveryExplainsASecondCompletion) {
   // two completions makes the duplicate legitimate.
   AuditCollector a = make_collector();
   const JobId id = job_id(4);
-  a.on_completed(id, NodeId{4}, at(10), 10_min);
-  a.on_recovery(id, 1, at(11));
-  a.on_completed(id, NodeId{5}, at(20), 10_min);
+  a.on_event(at(10), ev::Completed{id, NodeId{4}, 10_min});
+  a.on_event(at(11), ev::Recovery{id, 1});
+  a.on_event(at(20), ev::Completed{id, NodeId{5}, 10_min});
   EXPECT_EQ(a.violation_count(), 0u);
 }
 
@@ -96,15 +101,16 @@ TEST(Audit, RecoveryBudgetOverrunIsFlagged) {
   ctx.failsafe_max_recoveries = 3;
   AuditCollector a = make_collector(ctx);
   const JobId id = job_id(5);
-  a.on_recovery(id, 3, at(10));  // at the budget: fine
+  a.on_event(at(10), ev::Recovery{id, 3});  // at the budget: fine
   EXPECT_EQ(a.violation_count(), 0u);
-  a.on_recovery(id, 4, at(20));  // past it: the watchdog should have abandoned
+  // Past the budget: the watchdog should have abandoned.
+  a.on_event(at(20), ev::Recovery{id, 4});
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "recovery-budget-exceeded");
 
   // Budget 0 = failsafe off = check skipped entirely.
   AuditCollector off = make_collector();
-  off.on_recovery(id, 99, at(10));
+  off.on_event(at(10), ev::Recovery{id, 99});
   EXPECT_EQ(off.violation_count(), 0u);
 }
 
@@ -113,7 +119,7 @@ TEST(Audit, UnresolvedDelegationSurfacesAtFinish) {
   ctx.region_count = 4;
   AuditCollector a = make_collector(ctx);
   const JobId id = job_id(6);
-  a.on_region_delegated(id, NodeId{1}, 0, 2, at(10));
+  a.on_event(at(10), ev::RegionDelegated{id, NodeId{1}, 0, 2});
   a.finish(at(1000));  // nothing ever happened to the job afterwards
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "unresolved-delegation");
@@ -124,8 +130,8 @@ TEST(Audit, LaterEventResolvesADelegation) {
   ctx.region_count = 4;
   AuditCollector a = make_collector(ctx);
   const JobId id = job_id(7);
-  a.on_region_delegated(id, NodeId{1}, 0, 2, at(10));
-  a.on_bid_received(id, NodeId{0}, NodeId{42}, 2.0, at(15));
+  a.on_event(at(10), ev::RegionDelegated{id, NodeId{1}, 0, 2});
+  a.on_event(at(15), ev::BidReceived{id, NodeId{0}, NodeId{42}, 2.0});
   a.finish(at(1000));
   EXPECT_EQ(a.violation_count(), 0u);
 }
@@ -135,7 +141,7 @@ TEST(Audit, DelegationNearHorizonGetsGrace) {
   ctx.region_count = 4;
   AuditCollector a = make_collector(ctx);
   const JobId id = job_id(8);
-  a.on_region_delegated(id, NodeId{1}, 0, 2, at(995));
+  a.on_event(at(995), ev::RegionDelegated{id, NodeId{1}, 0, 2});
   a.finish(at(1000));  // inside delegation_grace: in flight, not stranded
   EXPECT_EQ(a.violation_count(), 0u);
 }
@@ -144,7 +150,7 @@ TEST(Audit, DelegationOutsideRegionRangeIsFlagged) {
   AuditContext ctx;
   ctx.region_count = 4;
   AuditCollector a = make_collector(ctx);
-  a.on_region_delegated(job_id(9), NodeId{1}, 0, 7, at(10));
+  a.on_event(at(10), ev::RegionDelegated{job_id(9), NodeId{1}, 0, 7});
   ASSERT_GE(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "delegation-bad-region");
 }
@@ -237,7 +243,8 @@ TEST(Audit, ClampWithoutAPoisonedDigestIsFlagged) {
   ctx.node_count = 100;
   ctx.region_count = 4;
   AuditCollector a = make_collector(ctx);
-  a.on_digest_clamped(NodeId{9}, NodeId{1}, /*region=*/1, /*epoch=*/3, at(10));
+  a.on_event(at(10), ev::DigestClamped{NodeId{9}, NodeId{1}, /*region=*/1,
+                                        /*epoch=*/3});
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "clamp-without-cause");
 }
@@ -251,7 +258,7 @@ TEST(Audit, ClampOfAPoisonedDigestIsLegitimate) {
   tap_digest(a, NodeId{1}, {1, 3, /*members=*/80, 0, 0.0, 0});
   // The send tap recorded the bad (from, region, epoch); the receiver's
   // clamp of exactly that digest is cause-backed.
-  a.on_digest_clamped(NodeId{9}, NodeId{1}, 1, 3, at(11));
+  a.on_event(at(11), ev::DigestClamped{NodeId{9}, NodeId{1}, 1, 3});
   EXPECT_EQ(a.violation_count(), 0u);
 }
 
@@ -261,9 +268,11 @@ TEST(Audit, ReputationMovesAreBoundedByAlpha) {
   AuditCollector a = make_collector(ctx);
   // Never-observed peers start at reputation_initial (1.0): one EWMA step
   // can move the score by at most alpha.
-  a.on_reputation(NodeId{0}, NodeId{7}, 0.79, at(1));  // |1.0 - 0.79| <= 0.3
+  // |1.0 - 0.79| <= 0.3
+  a.on_event(at(1), ev::Reputation{NodeId{0}, NodeId{7}, 0.79});
   EXPECT_EQ(a.violation_count(), 0u);
-  a.on_reputation(NodeId{0}, NodeId{7}, 0.20, at(2));  // 0.59 jump: flagged
+  // 0.59 jump: flagged
+  a.on_event(at(2), ev::Reputation{NodeId{0}, NodeId{7}, 0.20});
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "reputation-jump");
 }
@@ -272,13 +281,14 @@ TEST(Audit, ReputationOutsideTheUnitIntervalIsFlagged) {
   AuditContext ctx;
   ctx.reputation_alpha = 0.3;
   AuditCollector a = make_collector(ctx);
-  a.on_reputation(NodeId{0}, NodeId{7}, 1.25, at(1));  // step is legal, range not
+  // The step is legal, the range is not.
+  a.on_event(at(1), ev::Reputation{NodeId{0}, NodeId{7}, 1.25});
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "reputation-out-of-range");
 
   // Alpha 0 = defense plane off = reputation checks skipped entirely.
   AuditCollector off = make_collector();
-  off.on_reputation(NodeId{0}, NodeId{7}, 42.0, at(1));
+  off.on_event(at(1), ev::Reputation{NodeId{0}, NodeId{7}, 42.0});
   EXPECT_EQ(off.violation_count(), 0u);
 }
 
@@ -314,16 +324,16 @@ TEST(Audit, AHedgeExplainsASecondCompletion) {
   const proto::AssignMsg hedge{NodeId{0}, spec(id), false,
                                Uuid::generate(rng), /*hedge=*/true};
   a.on_message(NodeId{0}, NodeId{5}, hedge, at(1), at(1), false);
-  a.on_completed(id, NodeId{5}, at(10), 10_min);
-  a.on_completed(id, NodeId{6}, at(11), 10_min);  // the hedge pair: fine
+  a.on_event(at(10), ev::Completed{id, NodeId{5}, 10_min});
+  a.on_event(at(11), ev::Completed{id, NodeId{6}, 10_min});  // the hedge pair
   EXPECT_EQ(a.violation_count(), 0u);
-  a.on_completed(id, NodeId{7}, at(12), 10_min);  // a third is not
+  a.on_event(at(12), ev::Completed{id, NodeId{7}, 10_min});  // a third is not
   ASSERT_EQ(a.violation_count(), 1u);
   EXPECT_EQ(a.violations()[0].kind, "duplicate-completion");
 }
 
 // ---------------------------------------------------------------------------
-// Unit: decorator + recording cap
+// Unit: subscriber + recording cap
 // ---------------------------------------------------------------------------
 
 TEST(Audit, DefaultRecordingCapSurvivesAViolationFlood) {
@@ -332,8 +342,8 @@ TEST(Audit, DefaultRecordingCapSurvivesAViolationFlood) {
   AuditCollector a = make_collector();
   for (int i = 0; i < 100; ++i) {
     const JobId id = job_id(1000 + i);
-    a.on_completed(id, NodeId{1}, at(10), 10_min);
-    a.on_completed(id, NodeId{2}, at(11), 10_min);  // one duplicate each
+    a.on_event(at(10), ev::Completed{id, NodeId{1}, 10_min});
+    a.on_event(at(11), ev::Completed{id, NodeId{2}, 10_min});  // a duplicate
   }
   EXPECT_EQ(a.violation_count(), 100u);
   EXPECT_EQ(a.violations().size(), AuditConfig{}.max_recorded);
@@ -341,26 +351,33 @@ TEST(Audit, DefaultRecordingCapSurvivesAViolationFlood) {
 }
 
 TEST(Audit, ForwardsEveryCallbackToTheWrappedObserver) {
+  // The auditor sits ahead of another subscriber on one ObserverList; the
+  // one behind it still sees every event, in order.
   struct Recorder : proto::ProtocolObserver {
     std::vector<std::string> calls;
-    void on_submitted(const grid::JobSpec&, NodeId, TimePoint) override {
-      calls.push_back("submitted");
-    }
-    void on_delegated(const JobId&, NodeId, NodeId, TimePoint,
-                      bool) override {
-      calls.push_back("delegated");
-    }
-    void on_completed(const JobId&, NodeId, TimePoint, Duration) override {
-      calls.push_back("completed");
+    void on_event(TimePoint, const proto::ProtocolEvent& event) override {
+      if (std::holds_alternative<ev::Submitted>(event)) {
+        calls.push_back("submitted");
+      } else if (std::holds_alternative<ev::Delegated>(event)) {
+        calls.push_back("delegated");
+      } else if (std::holds_alternative<ev::Completed>(event)) {
+        calls.push_back("completed");
+      }
     }
   } rec;
-  AuditCollector a{AuditConfig{}, AuditContext{}, &rec};
+  AuditCollector a = make_collector();
+  proto::ObserverList list;
+  list.add(&a);
+  list.add(&rec);
   const JobId id = job_id(10);
-  a.on_submitted(spec(id), NodeId{0}, at(0));
-  a.on_delegated(id, NodeId{0}, NodeId{1}, at(1), false);
-  a.on_completed(id, NodeId{1}, at(5), 4_min);
+  list.on_event(at(0), ev::Submitted{spec(id), NodeId{0}});
+  list.on_event(at(1), ev::Delegated{id, NodeId{0}, NodeId{1}, false});
+  list.on_event(at(5), ev::Completed{id, NodeId{1}, 4_min});
   EXPECT_EQ(rec.calls,
             (std::vector<std::string>{"submitted", "delegated", "completed"}));
+  // The auditor saw them too: node 1 never bid for the job it was handed.
+  ASSERT_EQ(a.violation_count(), 1u);
+  EXPECT_EQ(a.violations()[0].kind, "assign-without-accept");
 }
 
 TEST(Audit, RecordingCapBoundsMemoryNotTheCount) {
@@ -368,28 +385,11 @@ TEST(Audit, RecordingCapBoundsMemoryNotTheCount) {
   cfg.max_recorded = 2;
   AuditCollector a{cfg, AuditContext{}};
   for (int i = 0; i < 5; ++i) {
-    a.on_completed(job_id(20), NodeId{1}, at(i + 1), 1_min);  // same job id
+    // The same job id every time.
+    a.on_event(at(i + 1), ev::Completed{job_id(20), NodeId{1}, 1_min});
   }
   EXPECT_EQ(a.violation_count(), 4u);   // every duplicate counted...
   EXPECT_EQ(a.violations().size(), 2u); // ...but only the first two stored
-}
-
-TEST(Audit, ForwardTapResamplesLikeTheNetwork) {
-  struct CountingTap : sim::MessageTap {
-    std::size_t seen{0};
-    void on_message(NodeId, NodeId, const sim::Message&, TimePoint, TimePoint,
-                    bool) override {
-      ++seen;
-    }
-  } tap;
-  AuditCollector a = make_collector();
-  a.set_forward_tap(&tap, 4);
-  const proto::RegionDigestMsg msg{NodeId{1}, overlay::RegionDigest{}};
-  for (int i = 0; i < 10; ++i) {
-    a.on_message(NodeId{1}, NodeId{2}, msg, at(1), at(1), false);
-  }
-  // Network's arithmetic (counter++ % every == 0): messages 0, 4, 8.
-  EXPECT_EQ(tap.seen, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -442,6 +442,36 @@ TEST(Audit, CleanUnderHierarchyFaultCocktail) {
       << (r.violations.empty()
               ? std::string{}
               : r.violations[0].kind + ": " + r.violations[0].detail);
+}
+
+TEST(Audit, ComposesWithTheJournalAndTheTracer) {
+  // Journal, tracer and auditor all subscribe at once: each still sees
+  // exactly the stream it sees alone.
+  workload::ScenarioConfig journal_only = small_grid();
+  journal_only.pdes_journal = true;
+  workload::GridSimulation journaled{journal_only, 41};
+  journaled.run();
+
+  workload::ScenarioConfig trace_only = small_grid();
+  trace_only.trace.enabled = true;
+  const workload::RunResult traced = workload::run_scenario(trace_only, 41);
+
+  workload::ScenarioConfig all = small_grid();
+  all.pdes_journal = true;
+  all.trace.enabled = true;
+  all.audit.enabled = true;
+  workload::GridSimulation composed{all, 41};
+  const workload::RunResult r = composed.run();
+
+  EXPECT_EQ(r.audit_violations, 0u);
+  const auto journal = composed.journal_entries();
+  EXPECT_FALSE(journal.empty());
+  EXPECT_EQ(journal, journaled.journal_entries());
+  std::ostringstream composed_jsonl;
+  std::ostringstream traced_jsonl;
+  trace::export_jsonl(*r.trace, composed_jsonl);
+  trace::export_jsonl(*traced.trace, traced_jsonl);
+  EXPECT_EQ(composed_jsonl.str(), traced_jsonl.str());
 }
 
 }  // namespace

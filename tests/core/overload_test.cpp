@@ -28,8 +28,8 @@ TEST(Overload, ShedJobMovesToIdleNeighborViaInform) {
   // Fill node 0: one executing, one queued (at the bound).
   auto j1 = g.make_job(2_h);
   auto j2 = g.make_job(2_h);
-  g.tracker.on_submitted(j1, NodeId{0}, g.sim.now());
-  g.tracker.on_submitted(j2, NodeId{0}, g.sim.now());
+  g.tracker.on_event(g.sim.now(), event::Submitted{j1, NodeId{0}});
+  g.tracker.on_event(g.sim.now(), event::Submitted{j2, NodeId{0}});
   full.deliver_assignment(j1, NodeId{0});
   full.deliver_assignment(j2, NodeId{0});
   ASSERT_TRUE(full.executing());
@@ -39,7 +39,7 @@ TEST(Overload, ShedJobMovesToIdleNeighborViaInform) {
   // which the immediate INFORM burst hands to the idle neighbor.
   auto j3 = g.make_job(1_h);
   const JobId shed_id = j3.id;
-  g.tracker.on_submitted(j3, NodeId{0}, g.sim.now());
+  g.tracker.on_event(g.sim.now(), event::Submitted{j3, NodeId{0}});
   full.deliver_assignment(j3, NodeId{0});
   EXPECT_EQ(full.queue_length(), 1u);
   EXPECT_TRUE(full.shedding(shed_id));
@@ -77,7 +77,7 @@ TEST(Overload, ShedWithNoTakerFallsBackToDiscovery) {
   auto j3 = g.make_job(1_h);
   const JobId shed_id = j3.id;
   for (const auto& j : {j1, j2, j3}) {
-    g.tracker.on_submitted(j, NodeId{0}, g.sim.now());
+    g.tracker.on_event(g.sim.now(), event::Submitted{j, NodeId{0}});
   }
   lonely.deliver_assignment(j1, NodeId{0});
   lonely.deliver_assignment(j2, NodeId{0});
@@ -126,8 +126,8 @@ TEST(Overload, SaturatedAssigneeRejectsAndInitiatorRediscovers) {
   g.run_for(500_ms);
   auto big1 = g.make_job(4_h);
   auto big2 = g.make_job(4_h);
-  g.tracker.on_submitted(big1, NodeId{1}, g.sim.now());
-  g.tracker.on_submitted(big2, NodeId{1}, g.sim.now());
+  g.tracker.on_event(g.sim.now(), event::Submitted{big1, NodeId{1}});
+  g.tracker.on_event(g.sim.now(), event::Submitted{big2, NodeId{1}});
   fast.deliver_assignment(big1, NodeId{1});
   fast.deliver_assignment(big2, NodeId{1});
   ASSERT_GE(fast.backlog_duration(), 3_h);
@@ -176,8 +176,8 @@ TEST(Overload, RejectWithAssignAckCancelsRetransmissions) {
   g.run_for(500_ms);
   auto big1 = g.make_job(4_h);
   auto big2 = g.make_job(4_h);
-  g.tracker.on_submitted(big1, NodeId{1}, g.sim.now());
-  g.tracker.on_submitted(big2, NodeId{1}, g.sim.now());
+  g.tracker.on_event(g.sim.now(), event::Submitted{big1, NodeId{1}});
+  g.tracker.on_event(g.sim.now(), event::Submitted{big2, NodeId{1}});
   fast.deliver_assignment(big1, NodeId{1});
   fast.deliver_assignment(big2, NodeId{1});
 
@@ -210,7 +210,7 @@ TEST(Overload, SaturatedNodeStopsBiddingAndResumesAfterDraining) {
 
   // 2h of running work: backlog over the 1.5h stop threshold.
   auto busywork = g.make_job(2_h);
-  g.tracker.on_submitted(busywork, NodeId{1}, g.sim.now());
+  g.tracker.on_event(g.sim.now(), event::Submitted{busywork, NodeId{1}});
   worker.deliver_assignment(busywork, NodeId{1});
 
   auto job = g.make_job(30_min);
@@ -241,7 +241,7 @@ TEST(Overload, PlaneOffLeavesQueuesUnbounded) {
   auto& n = g.add_node(SchedulerKind::kFcfs, 1.0);
   for (int i = 0; i < 5; ++i) {
     auto j = g.make_job(1_h);
-    g.tracker.on_submitted(j, NodeId{0}, g.sim.now());
+    g.tracker.on_event(g.sim.now(), event::Submitted{j, NodeId{0}});
     n.deliver_assignment(j, NodeId{0});
   }
   EXPECT_EQ(n.queue_length(), 4u);  // one executing, four queued, no sheds

@@ -23,10 +23,10 @@ TEST(JobTracker, HappyPathLifecycle) {
   Rng rng{1};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0 + 1_s, false);
-  t.on_started(job.id, NodeId{1}, t0 + 10_min);
-  t.on_completed(job.id, NodeId{1}, t0 + 70_min, 1_h);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0 + 1_s, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0 + 10_min, event::Started{job.id, NodeId{1}});
+  t.on_event(t0 + 70_min, event::Completed{job.id, NodeId{1}, 1_h});
 
   EXPECT_TRUE(t.violations().empty());
   EXPECT_EQ(t.submitted_count(), 1u);
@@ -46,12 +46,12 @@ TEST(JobTracker, RescheduleChainRecorded) {
   Rng rng{2};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0 + 1_s, false);
-  t.on_assigned(job, NodeId{2}, t0 + 5_min, true);
-  t.on_assigned(job, NodeId{3}, t0 + 10_min, true);
-  t.on_started(job.id, NodeId{3}, t0 + 15_min);
-  t.on_completed(job.id, NodeId{3}, t0 + 75_min, 1_h);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0 + 1_s, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0 + 5_min, event::Assigned{job, NodeId{2}, true});
+  t.on_event(t0 + 10_min, event::Assigned{job, NodeId{3}, true});
+  t.on_event(t0 + 15_min, event::Started{job.id, NodeId{3}});
+  t.on_event(t0 + 75_min, event::Completed{job.id, NodeId{3}, 1_h});
 
   EXPECT_TRUE(t.violations().empty());
   const JobRecord* r = t.find(job.id);
@@ -65,16 +65,16 @@ TEST(JobTracker, DeadlineMetAndMissed) {
   Rng rng{3};
   JobTracker t;
   const auto met = make_job(rng, t0 + 3_h);
-  t.on_submitted(met, NodeId{0}, t0);
-  t.on_assigned(met, NodeId{1}, t0, false);
-  t.on_started(met.id, NodeId{1}, t0);
-  t.on_completed(met.id, NodeId{1}, t0 + 2_h, 2_h);
+  t.on_event(t0, event::Submitted{met, NodeId{0}});
+  t.on_event(t0, event::Assigned{met, NodeId{1}, false});
+  t.on_event(t0, event::Started{met.id, NodeId{1}});
+  t.on_event(t0 + 2_h, event::Completed{met.id, NodeId{1}, 2_h});
 
   const auto missed = make_job(rng, t0 + 1_h);
-  t.on_submitted(missed, NodeId{0}, t0);
-  t.on_assigned(missed, NodeId{1}, t0, false);
-  t.on_started(missed.id, NodeId{1}, t0);
-  t.on_completed(missed.id, NodeId{1}, t0 + 90_min, 90_min);
+  t.on_event(t0, event::Submitted{missed, NodeId{0}});
+  t.on_event(t0, event::Assigned{missed, NodeId{1}, false});
+  t.on_event(t0, event::Started{missed.id, NodeId{1}});
+  t.on_event(t0 + 90_min, event::Completed{missed.id, NodeId{1}, 90_min});
 
   EXPECT_FALSE(t.find(met.id)->missed_deadline());
   EXPECT_EQ(t.find(met.id)->deadline_slack(), 1_h);
@@ -86,10 +86,10 @@ TEST(JobTracker, RetriesAndUnschedulable) {
   Rng rng{4};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_request_retry(job.id, 2, t0 + 5_s);
-  t.on_request_retry(job.id, 3, t0 + 15_s);
-  t.on_unschedulable(job.id, t0 + 30_s);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0 + 5_s, event::RequestRetry{job.id, 2});
+  t.on_event(t0 + 15_s, event::RequestRetry{job.id, 3});
+  t.on_event(t0 + 30_s, event::Unschedulable{job.id});
   EXPECT_TRUE(t.violations().empty());
   EXPECT_EQ(t.find(job.id)->retries, 2u);
   EXPECT_TRUE(t.find(job.id)->unschedulable);
@@ -100,8 +100,8 @@ TEST(JobTracker, ViolationDoubleSubmit) {
   Rng rng{5};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_submitted(job, NodeId{1}, t0 + 1_s);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0 + 1_s, event::Submitted{job, NodeId{1}});
   ASSERT_EQ(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("submitted twice"), std::string::npos);
 }
@@ -110,9 +110,9 @@ TEST(JobTracker, ViolationEventsForUnknownJob) {
   Rng rng{6};
   JobTracker t;
   const auto id = JobId::generate(rng);
-  t.on_started(id, NodeId{1}, t0);
-  t.on_completed(id, NodeId{1}, t0, 1_h);
-  t.on_unschedulable(id, t0);
+  t.on_event(t0, event::Started{id, NodeId{1}});
+  t.on_event(t0, event::Completed{id, NodeId{1}, 1_h});
+  t.on_event(t0, event::Unschedulable{id});
   EXPECT_EQ(t.violations().size(), 3u);
 }
 
@@ -120,10 +120,10 @@ TEST(JobTracker, ViolationDoubleStart) {
   Rng rng{7};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0, false);
-  t.on_started(job.id, NodeId{1}, t0);
-  t.on_started(job.id, NodeId{1}, t0 + 1_s);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0, event::Started{job.id, NodeId{1}});
+  t.on_event(t0 + 1_s, event::Started{job.id, NodeId{1}});
   ASSERT_EQ(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("started twice"), std::string::npos);
 }
@@ -132,9 +132,9 @@ TEST(JobTracker, ViolationStartOnWrongNode) {
   Rng rng{8};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0, false);
-  t.on_started(job.id, NodeId{2}, t0);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0, event::Started{job.id, NodeId{2}});
   ASSERT_EQ(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("not assigned"), std::string::npos);
 }
@@ -143,10 +143,10 @@ TEST(JobTracker, ViolationAssignAfterStart) {
   Rng rng{9};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0, false);
-  t.on_started(job.id, NodeId{1}, t0);
-  t.on_assigned(job, NodeId{2}, t0 + 1_s, true);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0, event::Started{job.id, NodeId{1}});
+  t.on_event(t0 + 1_s, event::Assigned{job, NodeId{2}, true});
   ASSERT_GE(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("after execution started"),
             std::string::npos);
@@ -156,9 +156,9 @@ TEST(JobTracker, ViolationCompleteWithoutStart) {
   Rng rng{10};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0, false);
-  t.on_completed(job.id, NodeId{1}, t0 + 1_h, 1_h);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0 + 1_h, event::Completed{job.id, NodeId{1}, 1_h});
   ASSERT_EQ(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("without starting"), std::string::npos);
   EXPECT_EQ(t.completed_count(), 0u);
@@ -168,11 +168,11 @@ TEST(JobTracker, ViolationDoubleComplete) {
   Rng rng{11};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0, false);
-  t.on_started(job.id, NodeId{1}, t0);
-  t.on_completed(job.id, NodeId{1}, t0 + 1_h, 1_h);
-  t.on_completed(job.id, NodeId{1}, t0 + 2_h, 1_h);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0, event::Started{job.id, NodeId{1}});
+  t.on_event(t0 + 1_h, event::Completed{job.id, NodeId{1}, 1_h});
+  t.on_event(t0 + 2_h, event::Completed{job.id, NodeId{1}, 1_h});
   ASSERT_EQ(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("completed twice"), std::string::npos);
   EXPECT_EQ(t.completed_count(), 1u);
@@ -182,8 +182,9 @@ TEST(JobTracker, ViolationInconsistentRescheduleFlag) {
   Rng rng{12};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0, /*reschedule=*/true);  // first assignment
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  // The first assignment claims to be a reschedule.
+  t.on_event(t0, event::Assigned{job, NodeId{1}, /*reschedule=*/true});
   ASSERT_EQ(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("inconsistent"), std::string::npos);
 }
@@ -192,10 +193,10 @@ TEST(JobTracker, ViolationCompleteOnDifferentNode) {
   Rng rng{13};
   JobTracker t;
   const auto job = make_job(rng);
-  t.on_submitted(job, NodeId{0}, t0);
-  t.on_assigned(job, NodeId{1}, t0, false);
-  t.on_started(job.id, NodeId{1}, t0);
-  t.on_completed(job.id, NodeId{9}, t0 + 1_h, 1_h);
+  t.on_event(t0, event::Submitted{job, NodeId{0}});
+  t.on_event(t0, event::Assigned{job, NodeId{1}, false});
+  t.on_event(t0, event::Started{job.id, NodeId{1}});
+  t.on_event(t0 + 1_h, event::Completed{job.id, NodeId{9}, 1_h});
   ASSERT_EQ(t.violations().size(), 1u);
   EXPECT_NE(t.violations()[0].find("different node"), std::string::npos);
 }

@@ -51,7 +51,7 @@ TEST(Failure, AssignToCrashedNodeLosesJobButNothingElse) {
   g.run_for(1_min);
 
   // The ASSIGN was swallowed by the crash: the job is gone — never queued
-  // anywhere (on_assigned fires at the receiving node), never started.
+  // anywhere (Assigned fires at the receiving node), never started.
   const JobRecord* rec = g.tracker.find(doomed_id);
   EXPECT_TRUE(rec->assignments.empty());
   EXPECT_FALSE(rec->started.has_value());

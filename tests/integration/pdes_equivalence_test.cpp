@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "sim/pdes/journal.hpp"
 #include "workload/cli.hpp"
@@ -104,18 +105,17 @@ TEST(PdesEquivalence, ShardedTelemetryIsReported) {
 
 TEST(PdesEquivalence, GatedPlanesThrowAtBuildTime) {
   // docs/pdes.md "Gated planes": the executor refuses configurations it
-  // cannot host rather than silently diverging.
-  {
-    ScenarioConfig cfg = small_scenario();
+  // cannot host rather than silently diverging, and the verifier refuses
+  // them before its sequential oracle runs.
+  std::vector<ScenarioConfig> gated(4, small_scenario());
+  gated[0].aria.healing.enabled = true;
+  gated[1].trace.enabled = true;
+  gated[2].audit.enabled = true;
+  gated[3].expansion = ScenarioConfig::Expansion{};
+  for (ScenarioConfig cfg : gated) {
+    EXPECT_THROW(verify_sharded_equivalence(cfg, 2, 1),
+                 std::invalid_argument);
     cfg.shards = 2;
-    cfg.aria.healing.enabled = true;
-    GridSimulation sim{cfg, 1};
-    EXPECT_THROW(sim.build(), std::invalid_argument);
-  }
-  {
-    ScenarioConfig cfg = small_scenario();
-    cfg.shards = 2;
-    cfg.audit.enabled = true;
     GridSimulation sim{cfg, 1};
     EXPECT_THROW(sim.build(), std::invalid_argument);
   }

@@ -150,6 +150,30 @@ TEST_F(NetworkTest, ReattachReplacesHandler) {
   EXPECT_EQ(second, 1);
 }
 
+TEST_F(NetworkTest, TapListSamplesEachSubscriptionLikeTheNetwork) {
+  struct PayloadTap final : MessageTap {
+    std::vector<int> seen;
+    void on_message(NodeId, NodeId, const Message& m, TimePoint, TimePoint,
+                    bool) override {
+      seen.push_back(dynamic_cast<const TestMsg&>(m).payload);
+    }
+  } every1, every4, every0;
+  TapList taps;
+  taps.add(&every1, 1);
+  taps.add(&every4, 4);
+  taps.add(&every0, 0);  // treated as 1
+  net_.set_tap(&taps, 1);
+  for (int i = 0; i < 10; ++i) {
+    net_.send(NodeId{1}, NodeId{2}, std::make_unique<TestMsg>(i));
+  }
+  net_.set_tap(nullptr);
+  const std::vector<int> all{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(every1.seen, all);
+  // The Network's arithmetic (counter++ % every == 0): messages 0, 4, 8.
+  EXPECT_EQ(every4.seen, (std::vector<int>{0, 4, 8}));
+  EXPECT_EQ(every0.seen, all);
+}
+
 TEST(NetworkStress, ThousandsOfMessagesDeliveredExactlyOnce) {
   Simulator sim;
   Network net{sim, std::make_unique<GeoLatencyModel>(), Rng{77}};

@@ -1,14 +1,18 @@
 // Unit tests for the sharded-PDES building blocks (docs/pdes.md): the SPSC
 // channel's FIFO-across-spill contract, the stateless shard map, the
-// kernel's keyed same-instant ordering, the canonical send journal, and the
-// conservative executor's ordering invariant on toy simulations.
+// kernel's keyed same-instant ordering, the canonical send journal, the
+// conservative executor's ordering invariant on toy simulations, and the
+// shard recorders' canonical replay order.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/spsc.hpp"
 #include "sim/latency.hpp"
 #include "sim/network.hpp"
@@ -392,11 +396,11 @@ TEST(ShardExecutor, InlineWindowsAreNotStampedAsEnginePhases) {
   std::vector<bool> active_seen;
   f.engine.schedule_at(TimePoint::from_micros(50), [&] {
     active_seen.push_back(stamp.active);
-    recorder.on_unschedulable(JobId{}, f.engine.now());
+    recorder.on_event(f.engine.now(), proto::event::Unschedulable{JobId{}});
   });
   f.sims[1]->schedule_at(TimePoint::from_micros(100), [&] {
     active_seen.push_back(stamp.active);
-    recorder.on_unschedulable(JobId{}, f.sims[1]->now());
+    recorder.on_event(f.sims[1]->now(), proto::event::Unschedulable{JobId{}});
   });
   const auto stats = f.run(TimePoint::origin() + 1_s, &stamp);
   EXPECT_EQ(stats.inline_windows, 1u);
@@ -404,6 +408,71 @@ TEST(ShardExecutor, InlineWindowsAreNotStampedAsEnginePhases) {
   EXPECT_EQ(stamp.next, 1u) << "only the engine-phase entry is numbered";
   EXPECT_EQ(recorder.size(), 2u);
   EXPECT_TRUE(stamp.active) << "raised again once run() returns";
+}
+
+TEST(RecordingObserver, ReplaysInCanonicalOrderFieldForField) {
+  // Three shard logs, mostly at one instant t: replay runs by time, then
+  // engine-phase entries in serial order, then window entries by (shard,
+  // local index) — whatever order the shards recorded them in.
+  namespace ev = proto::event;
+  EngineStamp stamp;
+  workload::RecordingObserver s0{&stamp}, s1{&stamp}, s2{&stamp};
+  const TimePoint t = TimePoint::origin() + 1_s;
+  Rng rng{5};
+  grid::JobSpec job;
+  job.id = JobId::generate(rng);
+  job.ert = Duration::minutes(10);
+  job.deadline = t + 1_s;
+
+  stamp.active = false;  // window entries
+  s1.on_event(t, ev::Reputation{NodeId{3}, NodeId{4}, 0.25});
+  s0.on_event(t, ev::Completed{job.id, NodeId{2}, 90_s});
+  s0.on_event(t - 1_ms, ev::BidSent{job.id, NodeId{2}, NodeId{1}, 12.5});
+  s0.on_event(t, ev::Rejected{job.id, NodeId{5}});
+  stamp.active = true;  // engine-phase entries, serials 0 and 1
+  s2.on_event(t, ev::Submitted{job, NodeId{1}});
+  s1.on_event(t, ev::Assigned{job, NodeId{2}, true});
+
+  struct Capture final : proto::ProtocolObserver {
+    std::vector<std::pair<TimePoint, proto::ProtocolEvent>> seen;
+    void on_event(TimePoint at, const proto::ProtocolEvent& e) override {
+      seen.emplace_back(at, e);
+    }
+  } out;
+  workload::RecordingObserver::replay({&s0, &s1, &s2}, out);
+  ASSERT_EQ(out.seen.size(), 6u);
+  const auto same_job = [&](const grid::JobSpec& j) {
+    return j.id == job.id && j.ert == job.ert && j.deadline == job.deadline;
+  };
+
+  EXPECT_EQ(out.seen[0].first, t - 1_ms);
+  const auto& bid = std::get<ev::BidSent>(out.seen[0].second);
+  EXPECT_EQ(bid.id, job.id);
+  EXPECT_EQ(bid.bidder, NodeId{2});
+  EXPECT_EQ(bid.to, NodeId{1});
+  EXPECT_EQ(bid.cost, 12.5);
+
+  for (std::size_t i = 1; i < out.seen.size(); ++i) {
+    EXPECT_EQ(out.seen[i].first, t) << i;
+  }
+  const auto& sub = std::get<ev::Submitted>(out.seen[1].second);
+  EXPECT_TRUE(same_job(sub.job));
+  EXPECT_EQ(sub.initiator, NodeId{1});
+  const auto& asg = std::get<ev::Assigned>(out.seen[2].second);
+  EXPECT_TRUE(same_job(asg.job));
+  EXPECT_EQ(asg.node, NodeId{2});
+  EXPECT_TRUE(asg.reschedule);
+  const auto& done = std::get<ev::Completed>(out.seen[3].second);
+  EXPECT_EQ(done.id, job.id);
+  EXPECT_EQ(done.node, NodeId{2});
+  EXPECT_EQ(done.art, 90_s);
+  const auto& rej = std::get<ev::Rejected>(out.seen[4].second);
+  EXPECT_EQ(rej.id, job.id);
+  EXPECT_EQ(rej.node, NodeId{5});
+  const auto& rep = std::get<ev::Reputation>(out.seen[5].second);
+  EXPECT_EQ(rep.owner, NodeId{3});
+  EXPECT_EQ(rep.subject, NodeId{4});
+  EXPECT_EQ(rep.score, 0.25);
 }
 
 TEST(ShardExecutor, RejectsZeroLookahead) {

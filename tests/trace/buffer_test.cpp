@@ -1,6 +1,6 @@
 // TraceBuffer unit tests: sequence assignment, two-ring routing, drop-newest
 // overflow, and the seq-merge that reconstructs exact collection order.
-#include "trace/sink.hpp"
+#include "trace/buffer.hpp"
 
 #include <gtest/gtest.h>
 

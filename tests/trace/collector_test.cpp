@@ -1,10 +1,13 @@
-// TraceCollector unit tests: decorator forwarding (next observer sees every
-// callback, before the record lands) and callback → record field mapping.
+// TraceCollector unit tests: the collector as one subscriber of an
+// ObserverList, and event → record field mapping.
 #include "trace/collector.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "grid/job.hpp"
@@ -14,66 +17,106 @@ namespace {
 
 using namespace aria::literals;
 
-/// Counts every callback so tests can assert nothing is swallowed.
-struct CountingObserver final : proto::ProtocolObserver {
-  std::size_t calls{0};
-  void on_submitted(const grid::JobSpec&, NodeId, TimePoint) override { ++calls; }
-  void on_request_retry(const JobId&, std::size_t, TimePoint) override { ++calls; }
-  void on_unschedulable(const JobId&, TimePoint) override { ++calls; }
-  void on_bid_sent(const JobId&, NodeId, NodeId, double, TimePoint) override { ++calls; }
-  void on_bid_received(const JobId&, NodeId, NodeId, double, TimePoint) override { ++calls; }
-  void on_delegated(const JobId&, NodeId, NodeId, TimePoint, bool) override { ++calls; }
-  void on_assigned(const grid::JobSpec&, NodeId, TimePoint, bool) override { ++calls; }
-  void on_started(const JobId&, NodeId, TimePoint) override { ++calls; }
-  void on_completed(const JobId&, NodeId, TimePoint, Duration) override { ++calls; }
-  void on_recovery(const JobId&, std::size_t, TimePoint) override { ++calls; }
-  void on_abandoned(const JobId&, TimePoint) override { ++calls; }
-  void on_shed(const grid::JobSpec&, NodeId, TimePoint) override { ++calls; }
-  void on_rejected(const JobId&, NodeId, TimePoint) override { ++calls; }
+namespace event = proto::event;
+
+/// One of each of the 16 protocol events, in ProtocolEvent order.
+std::vector<proto::ProtocolEvent> one_of_each(const grid::JobSpec& job) {
+  const JobId& id = job.id;
+  return {event::Submitted{job, NodeId{1}},
+          event::RequestRetry{id, 2},
+          event::Unschedulable{id},
+          event::BidSent{id, NodeId{2}, NodeId{1}, 10.0},
+          event::BidReceived{id, NodeId{1}, NodeId{2}, 10.0},
+          event::Delegated{id, NodeId{1}, NodeId{2}, false},
+          event::Assigned{job, NodeId{2}, false},
+          event::Started{id, NodeId{2}},
+          event::Completed{id, NodeId{2}, 30_s},
+          event::Recovery{id, 1},
+          event::Abandoned{id},
+          event::Shed{job, NodeId{2}},
+          event::Rejected{id, NodeId{2}},
+          event::RegionDelegated{id, NodeId{3}, 0, 1},
+          event::DigestClamped{NodeId{3}, NodeId{4}, 1, 7},
+          event::Reputation{NodeId{3}, NodeId{4}, 0.5}};
+}
+
+/// Appends (name, event index) for every event it sees to a shared log.
+struct LoggingObserver final : proto::ProtocolObserver {
+  LoggingObserver(char name, std::vector<std::pair<char, std::size_t>>& log)
+      : name{name}, log{log} {}
+  void on_event(TimePoint, const proto::ProtocolEvent& event) override {
+    log.emplace_back(name, event.index());
+  }
+  char name;
+  std::vector<std::pair<char, std::size_t>>& log;
 };
 
 struct Fixture {
   Rng rng{42};
   JobId id{JobId::generate(rng)};
   grid::JobSpec job{};
-  CountingObserver next;
-  TraceCollector collector{TraceConfig{.enabled = true}, &next};
+  TraceCollector collector{TraceConfig{.enabled = true}};
   Fixture() { job.id = id; }
 };
 
-TEST(TraceCollector, ForwardsEveryCallbackToNext) {
+TEST(ObserverList, EveryEventReachesEverySubscriberInOrder) {
   Fixture f;
-  const TimePoint t = TimePoint::origin() + 1_min;
-  f.collector.on_submitted(f.job, NodeId{1}, t);
-  f.collector.on_request_retry(f.id, 2, t);
-  f.collector.on_unschedulable(f.id, t);
-  f.collector.on_bid_sent(f.id, NodeId{2}, NodeId{1}, 10.0, t);
-  f.collector.on_bid_received(f.id, NodeId{1}, NodeId{2}, 10.0, t);
-  f.collector.on_delegated(f.id, NodeId{1}, NodeId{2}, t, false);
-  f.collector.on_assigned(f.job, NodeId{2}, t, false);
-  f.collector.on_started(f.id, NodeId{2}, t);
-  f.collector.on_completed(f.id, NodeId{2}, t, 30_s);
-  f.collector.on_recovery(f.id, 1, t);
-  f.collector.on_abandoned(f.id, t);
-  f.collector.on_shed(f.job, NodeId{2}, t);
-  f.collector.on_rejected(f.id, NodeId{2}, t);
-  EXPECT_EQ(f.next.calls, 13u);
-  EXPECT_EQ(f.collector.buffer()->job_events().size(), 13u);
+  std::vector<std::pair<char, std::size_t>> log;
+  LoggingObserver first{'a', log};
+  LoggingObserver last{'b', log};
+  proto::ObserverList list;
+  list.add(&first);
+  list.add(&last);
+  const auto events = one_of_each(f.job);
+  ASSERT_EQ(events.size(), std::variant_size_v<proto::ProtocolEvent>);
+  for (const auto& e : events) list.on_event(TimePoint::origin() + 1_min, e);
+
+  std::vector<std::pair<char, std::size_t>> expected;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    expected.emplace_back('a', i);
+    expected.emplace_back('b', i);
+  }
+  EXPECT_EQ(log, expected);
+}
+
+TEST(TraceCollector, ForwardsEveryCallbackToNext) {
+  // The tracer ahead of another subscriber on one ObserverList swallows
+  // nothing: the next one sees all 16 events.
+  Fixture f;
+  std::vector<std::pair<char, std::size_t>> log;
+  LoggingObserver next{'n', log};
+  proto::ObserverList list;
+  list.add(&f.collector);
+  list.add(&next);
+  const auto events = one_of_each(f.job);
+  for (const auto& e : events) list.on_event(TimePoint::origin() + 1_min, e);
+
+  ASSERT_EQ(log.size(), events.size());
+  for (std::size_t i = 0; i < log.size(); ++i) EXPECT_EQ(log[i].second, i);
+  // The tracer records each of its 13 lifecycle kinds exactly once and
+  // nothing for the hierarchy and defense events.
+  const auto& records = f.collector.buffer()->job_events();
+  ASSERT_EQ(records.size(), kTraceEventKinds - 1);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    EXPECT_EQ(records[k].kind, static_cast<TraceEventKind>(k));
+  }
 }
 
 TEST(TraceCollector, NullNextIsAllowed) {
+  // A lone tracer, subscribed to nothing and with no one after it, records.
   Fixture f;
   TraceCollector solo{TraceConfig{.enabled = true}};
-  solo.on_submitted(f.job, NodeId{1}, TimePoint::origin());
+  solo.on_event(TimePoint::origin(), event::Submitted{f.job, NodeId{1}});
   EXPECT_EQ(solo.buffer()->job_events().size(), 1u);
 }
 
 TEST(TraceCollector, RecordsCarryCallbackFields) {
   Fixture f;
   const TimePoint t = TimePoint::origin() + 5_min;
-  f.collector.on_bid_sent(f.id, NodeId{3}, NodeId{7}, 123.5, t);
-  f.collector.on_delegated(f.id, NodeId{7}, NodeId{3}, t, /*reschedule=*/true);
-  f.collector.on_completed(f.id, NodeId{3}, t, 90_s);
+  f.collector.on_event(t, event::BidSent{f.id, NodeId{3}, NodeId{7}, 123.5});
+  f.collector.on_event(t, event::Delegated{f.id, NodeId{7}, NodeId{3},
+                                           /*reschedule=*/true});
+  f.collector.on_event(t, event::Completed{f.id, NodeId{3}, 90_s});
 
   const auto& ev = f.collector.buffer()->job_events();
   ASSERT_EQ(ev.size(), 3u);
@@ -96,8 +139,8 @@ TEST(TraceCollector, RecordsCarryCallbackFields) {
 
 TEST(TraceCollector, AttemptNumbersSurviveInA) {
   Fixture f;
-  f.collector.on_request_retry(f.id, 3, TimePoint::origin());
-  f.collector.on_recovery(f.id, 5, TimePoint::origin());
+  f.collector.on_event(TimePoint::origin(), event::RequestRetry{f.id, 3});
+  f.collector.on_event(TimePoint::origin(), event::Recovery{f.id, 5});
   const auto& ev = f.collector.buffer()->job_events();
   ASSERT_EQ(ev.size(), 2u);
   EXPECT_EQ(ev[0].a, 3u);

@@ -21,10 +21,11 @@ grid::JobSpec job(Rng& rng, std::optional<TimePoint> deadline = {}) {
 
 void complete_job(proto::JobTracker& t, const grid::JobSpec& j, NodeId node,
                   TimePoint submitted, Duration wait, Duration exec) {
-  t.on_submitted(j, NodeId{0}, submitted);
-  t.on_assigned(j, node, submitted, false);
-  t.on_started(j.id, node, submitted + wait);
-  t.on_completed(j.id, node, submitted + wait + exec, exec);
+  t.on_event(submitted, proto::event::Submitted{j, NodeId{0}});
+  t.on_event(submitted, proto::event::Assigned{j, node, false});
+  t.on_event(submitted + wait, proto::event::Started{j.id, node});
+  t.on_event(submitted + wait + exec,
+             proto::event::Completed{j.id, node, exec});
 }
 
 TEST(RunResultMetrics, MeansOverCompletedJobs) {
@@ -35,7 +36,7 @@ TEST(RunResultMetrics, MeansOverCompletedJobs) {
   complete_job(r.tracker, job(rng), NodeId{2}, t0 + 1_h, 30_min, 90_min);
   // An incomplete job must not pollute the means.
   const auto pending = job(rng);
-  r.tracker.on_submitted(pending, NodeId{0}, t0);
+  r.tracker.on_event(t0, proto::event::Submitted{pending, NodeId{0}});
 
   EXPECT_DOUBLE_EQ(r.mean_waiting_minutes(), 20.0);
   EXPECT_DOUBLE_EQ(r.mean_execution_minutes(), 75.0);
@@ -62,7 +63,7 @@ TEST(RunResultMetrics, DeadlineAccounting) {
   complete_job(r.tracker, job(rng, t0 + 1_h), NodeId{2}, t0, 30_min, 1_h);
   // Deadline job never completed: counted as missed too.
   const auto stuck = job(rng, t0 + 2_h);
-  r.tracker.on_submitted(stuck, NodeId{0}, t0);
+  r.tracker.on_event(t0, proto::event::Submitted{stuck, NodeId{0}});
 
   EXPECT_EQ(r.deadline_jobs(), 3u);
   EXPECT_EQ(r.missed_deadlines(), 2u);
