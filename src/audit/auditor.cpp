@@ -7,18 +7,6 @@
 
 namespace aria::audit {
 
-namespace {
-
-/// Population of region `r` under the arithmetic partition n % R (the
-/// overlay's region_of): node_count / R rounded up for the low regions.
-std::size_t region_population(std::size_t node_count, std::uint32_t regions,
-                              std::uint32_t r) {
-  if (regions == 0) return 0;
-  return node_count / regions + (r < node_count % regions ? 1 : 0);
-}
-
-}  // namespace
-
 AuditCollector::AuditCollector(const AuditConfig& config, AuditContext ctx)
     : config_{config}, ctx_{ctx} {}
 
@@ -218,28 +206,27 @@ void AuditCollector::on_message(NodeId from, NodeId,
         violate(std::move(kind), std::move(detail), sent);
       }
     };
-    if (ctx_.region_count > 0 && d.region >= ctx_.region_count) {
+    const overlay::DigestBreaches breaches = overlay::conservation_breaches(
+        d, ctx_.region_count, ctx_.node_count);
+    if (breaches.bad_region) {
       flag("digest-bad-region",
            from.to_string() + " digests region " + std::to_string(d.region) +
                " outside R=" + std::to_string(ctx_.region_count));
-    } else if (ctx_.region_count > 0 &&
-               d.members >
-                   region_population(ctx_.node_count, ctx_.region_count,
-                                     d.region)) {
+    } else if (breaches.overcount) {
       flag("digest-overcount",
            from.to_string() + " claims " + std::to_string(d.members) +
                " members in region " + std::to_string(d.region) +
                " (population " +
-               std::to_string(region_population(
+               std::to_string(overlay::region_population(
                    ctx_.node_count, ctx_.region_count, d.region)) +
                ")");
     }
-    if (d.idle > d.members) {
+    if (breaches.idle_overcount) {
       flag("digest-idle-overcount",
            from.to_string() + ": idle " + std::to_string(d.idle) + " > " +
                std::to_string(d.members) + " members");
     }
-    if (d.backlog_seconds < 0.0) {
+    if (breaches.negative_backlog) {
       flag("digest-negative-backlog",
            from.to_string() + ": backlog " +
                std::to_string(d.backlog_seconds) + "s");

@@ -62,22 +62,18 @@ struct NodeSummary {
   TimePoint stamped{};
 };
 
-struct GossipMsg final : sim::Message {
+inline constexpr const char* kGossipType = "GOSSIP";
+// A GOSSIP message meters a fixed header plus ~96 bytes per carried summary.
+inline constexpr std::size_t kGossipHeaderWireBytes = 64;
+inline constexpr std::size_t kGossipSummaryWireBytes = 96;
+
+struct GossipMsg final
+    : sim::MessageOf<GossipMsg, kGossipType, kGossipHeaderWireBytes> {
   std::vector<NodeSummary> summaries;
 
   explicit GossipMsg(std::vector<NodeSummary> s) : summaries{std::move(s)} {}
   std::size_t wire_size() const override {
-    // 64 bytes of header + ~96 bytes per carried summary.
-    return 64 + summaries.size() * 96;
-  }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<GossipMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern("GOSSIP");
-    return id;
+    return kGossipHeaderWireBytes + summaries.size() * kGossipSummaryWireBytes;
   }
 };
 

@@ -4,12 +4,14 @@
 // Wire sizes follow the traffic evaluation (§V-E): REQUEST, INFORM and
 // ASSIGN carry a full job profile and are metered at 1 KiB; ACCEPT is a
 // compact (address, uuid, cost) triple metered at 128 bytes. Each type
-// interns its name once (static_type()) so per-message metering is an
-// integer id, never a string.
+// derives from sim::MessageOf with its k*Type name and k*WireBytes size, which
+// supplies the metering (the name is interned once, so per-message metering
+// is an integer id, never a string) and the fault plane's clone; a type
+// declares only its fields.
 //
-// REQUEST and INFORM are flooded: they carry a FloodMeta with a per-emission
-// flood id (for duplicate suppression), the remaining hop budget, and the
-// flood origin.
+// REQUEST, INFORM and REGION_PULL are flooded: they carry a FloodMeta with a
+// per-emission flood id (for duplicate suppression), the remaining hop
+// budget, and the flood origin.
 #pragma once
 
 #include <cstddef>
@@ -74,7 +76,7 @@ inline constexpr const char* kRegionQueryType = "REGION_QUERY";
 inline constexpr const char* kRegionFwdType = "REGION_FWD";
 inline constexpr const char* kRegionPullType = "REGION_PULL";
 
-/// Flood bookkeeping carried by REQUEST and INFORM.
+/// Flood bookkeeping carried by REQUEST, INFORM and REGION_PULL.
 struct FloodMeta {
   Uuid flood_id{};           // one per emission (re-floods get fresh ids)
   std::uint32_t hops_left{0};  // remaining hop budget after this delivery
@@ -82,7 +84,8 @@ struct FloodMeta {
 };
 
 /// Resource discovery query: "Initiator's address | Job UUID | Job Profile".
-struct RequestMsg final : sim::Message {
+struct RequestMsg final
+    : sim::MessageOf<RequestMsg, kRequestType, kRequestWireBytes> {
   NodeId initiator;
   grid::JobSpec job;  // carries the UUID and the profile
   FloodMeta flood;
@@ -97,43 +100,25 @@ struct RequestMsg final : sim::Message {
         job{std::move(job_)},
         flood{flood_},
         wide{wide_} {}
-  std::size_t wire_size() const override { return kRequestWireBytes; }
   std::uint32_t flood_hops_left() const override { return flood.hops_left; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<RequestMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kRequestType);
-    return id;
-  }
 };
 
 /// Offer: "Node's address | Job UUID | Cost". Sent to the initiator in the
 /// submission phase, or to the current assignee in the rescheduling phase.
-struct AcceptMsg final : sim::Message {
+struct AcceptMsg final
+    : sim::MessageOf<AcceptMsg, kAcceptType, kAcceptWireBytes> {
   NodeId node;
   JobId job_id;
   double cost;
 
   AcceptMsg(NodeId node_, JobId job_id_, double cost_)
       : node{node_}, job_id{job_id_}, cost{cost_} {}
-  std::size_t wire_size() const override { return kAcceptWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<AcceptMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kAcceptType);
-    return id;
-  }
 };
 
 /// Rescheduling advertisement:
 /// "Assignee's address | Job UUID | Job Profile | Cost".
-struct InformMsg final : sim::Message {
+struct InformMsg final
+    : sim::MessageOf<InformMsg, kInformType, kInformWireBytes> {
   NodeId assignee;
   grid::JobSpec job;
   double cost;  // the assignee's current cost for this job
@@ -141,23 +126,14 @@ struct InformMsg final : sim::Message {
 
   InformMsg(NodeId assignee_, grid::JobSpec job_, double cost_, FloodMeta flood_)
       : assignee{assignee_}, job{std::move(job_)}, cost{cost_}, flood{flood_} {}
-  std::size_t wire_size() const override { return kInformWireBytes; }
   std::uint32_t flood_hops_left() const override { return flood.hops_left; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<InformMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kInformType);
-    return id;
-  }
 };
 
 /// Delegation: "Initiator's address | Job UUID | Job Profile". Sent by the
 /// initiator on first assignment, or by the departing assignee on a
 /// reschedule (the initiator address lets the new assignee keep notifying).
-struct AssignMsg final : sim::Message {
+struct AssignMsg final
+    : sim::MessageOf<AssignMsg, kAssignType, kAssignWireBytes> {
   NodeId initiator;
   grid::JobSpec job;
   /// True when this delegation moves an already-assigned job (set by the
@@ -176,21 +152,12 @@ struct AssignMsg final : sim::Message {
             Uuid assign_id_ = Uuid{}, bool hedge_ = false)
       : initiator{initiator_}, job{std::move(job_)}, reschedule{reschedule_},
         assign_id{assign_id_}, hedge{hedge_} {}
-  std::size_t wire_size() const override { return kAssignWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<AssignMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kAssignType);
-    return id;
-  }
 };
 
 /// Optional tracking notification to the initiator (paper §III-D:
 /// "rescheduling actions may be notified to the job's initiator").
-struct NotifyMsg final : sim::Message {
+struct NotifyMsg final
+    : sim::MessageOf<NotifyMsg, kNotifyType, kNotifyWireBytes> {
   /// kRevoke / kRevokeAck extend the failsafe vocabulary for the adversarial
   /// defense plane (docs/adversary.md): an initiator revokes a straggling
   /// delegation before granting the job to the runner-up bid, and the
@@ -204,38 +171,19 @@ struct NotifyMsg final : sim::Message {
 
   NotifyMsg(Kind kind_, JobId job_id_, NodeId current_assignee_)
       : kind{kind_}, job_id{job_id_}, current_assignee{current_assignee_} {}
-  std::size_t wire_size() const override { return kNotifyWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<NotifyMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kNotifyType);
-    return id;
-  }
 };
 
 /// Delegation receipt: "Node's address | Job UUID | Assign UUID". Sent back
 /// to the delegator when acknowledged delegation is on; absence within
 /// AriaConfig::assign_ack_timeout triggers a retransmission.
-struct AssignAckMsg final : sim::Message {
+struct AssignAckMsg final
+    : sim::MessageOf<AssignAckMsg, kAssignAckType, kAssignAckWireBytes> {
   NodeId node;
   JobId job_id;
   Uuid assign_id;
 
   AssignAckMsg(NodeId node_, JobId job_id_, Uuid assign_id_)
       : node{node_}, job_id{job_id_}, assign_id{assign_id_} {}
-  std::size_t wire_size() const override { return kAssignAckWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<AssignAckMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kAssignAckType);
-    return id;
-  }
 };
 
 /// Admission refusal (overload plane, docs/overload.md): "Rejecter's address
@@ -246,7 +194,8 @@ struct AssignAckMsg final : sim::Message {
 /// when the ASSIGN went out. `reject_id` is fresh per refusal so network
 /// duplicates of one REJECT can be deduplicated without suppressing a later,
 /// genuine second refusal of the same job.
-struct RejectMsg final : sim::Message {
+struct RejectMsg final
+    : sim::MessageOf<RejectMsg, kRejectType, kRejectWireBytes> {
   NodeId node;
   grid::JobSpec job;
   NodeId initiator;
@@ -257,98 +206,50 @@ struct RejectMsg final : sim::Message {
             bool reschedule_, Uuid reject_id_)
       : node{node_}, job{std::move(job_)}, initiator{initiator_},
         reschedule{reschedule_}, reject_id{reject_id_} {}
-  std::size_t wire_size() const override { return kRejectWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<RejectMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kRejectType);
-    return id;
-  }
 };
 
 // --- self-healing overlay plane (docs/overlay.md) --------------------------
 
 /// Liveness probe: "Prober's address | Probe sequence number". One per
 /// tracked neighbor per probe round.
-struct PingMsg final : sim::Message {
+struct PingMsg final : sim::MessageOf<PingMsg, kPingType, kPingWireBytes> {
   NodeId from;
   std::uint32_t seq;
 
   PingMsg(NodeId from_, std::uint32_t seq_) : from{from_}, seq{seq_} {}
-  std::size_t wire_size() const override { return kPingWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<PingMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kPingType);
-    return id;
-  }
 };
 
 /// Probe answer echoing the PING's sequence number, plus a bounded sample of
 /// the responder's live neighbors — the neighbor-exchange gossip that feeds
 /// every node's repair-contact cache.
-struct PongMsg final : sim::Message {
+struct PongMsg final : sim::MessageOf<PongMsg, kPongType, kPongWireBytes> {
   NodeId from;
   std::uint32_t seq;
   std::vector<NodeId> contacts;
 
   PongMsg(NodeId from_, std::uint32_t seq_, std::vector<NodeId> contacts_)
       : from{from_}, seq{seq_}, contacts{std::move(contacts_)} {}
-  std::size_t wire_size() const override { return kPongWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<PongMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kPongType);
-    return id;
-  }
 };
 
 /// Repair request: "Requester's address". Sent to a cached contact when the
 /// live degree drops below the floor, or to remembered neighbors when a
 /// restarted node rejoins.
-struct LinkReqMsg final : sim::Message {
+struct LinkReqMsg final
+    : sim::MessageOf<LinkReqMsg, kLinkReqType, kLinkReqWireBytes> {
   NodeId from;
 
   explicit LinkReqMsg(NodeId from_) : from{from_} {}
-  std::size_t wire_size() const override { return kLinkReqWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<LinkReqMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kLinkReqType);
-    return id;
-  }
 };
 
 /// Repair confirmation, carrying the accepter's live-neighbor sample so the
 /// (possibly freshly restarted) requester seeds its contact cache.
-struct LinkAckMsg final : sim::Message {
+struct LinkAckMsg final
+    : sim::MessageOf<LinkAckMsg, kLinkAckType, kLinkAckWireBytes> {
   NodeId from;
   std::vector<NodeId> contacts;
 
   LinkAckMsg(NodeId from_, std::vector<NodeId> contacts_)
       : from{from_}, contacts{std::move(contacts_)} {}
-  std::size_t wire_size() const override { return kLinkAckWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<LinkAckMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kLinkAckType);
-    return id;
-  }
 };
 
 // --- hierarchical discovery plane (docs/hierarchy.md) -----------------------
@@ -356,49 +257,32 @@ struct LinkAckMsg final : sim::Message {
 /// Member → own-region aggregator candidates: "Reporter's address | idle
 /// flag | backlog seconds | queue length". Sent every load_report_period;
 /// the digest input.
-struct RegionLoadMsg final : sim::Message {
+struct RegionLoadMsg final
+    : sim::MessageOf<RegionLoadMsg, kRegionLoadType, kRegionLoadWireBytes> {
   NodeId from;
   overlay::MemberLoad load;
 
   RegionLoadMsg(NodeId from_, overlay::MemberLoad load_)
       : from{from_}, load{load_} {}
-  std::size_t wire_size() const override { return kRegionLoadWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<RegionLoadMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kRegionLoadType);
-    return id;
-  }
 };
 
 /// Aggregator → every other region's candidates: one region's summarized
 /// load. Replaces per-job global INFORM reach with a periodic O(R²)
 /// aggregate exchange.
-struct RegionDigestMsg final : sim::Message {
+struct RegionDigestMsg final
+    : sim::MessageOf<RegionDigestMsg, kRegionDigestType, kRegionDigestWireBytes> {
   NodeId from;
   overlay::RegionDigest digest;
 
   RegionDigestMsg(NodeId from_, overlay::RegionDigest digest_)
       : from{from_}, digest{digest_} {}
-  std::size_t wire_size() const override { return kRegionDigestWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<RegionDigestMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kRegionDigestType);
-    return id;
-  }
 };
 
 /// Initiator → own-region aggregator: "my region-local REQUEST flood drew no
 /// offers on `attempt`; find this job a region". Carries the full spec so
 /// the aggregator can forward without holding per-job state.
-struct RegionQueryMsg final : sim::Message {
+struct RegionQueryMsg final
+    : sim::MessageOf<RegionQueryMsg, kRegionQueryType, kRegionQueryWireBytes> {
   NodeId initiator;
   grid::JobSpec job;
   std::uint32_t attempt;
@@ -414,39 +298,20 @@ struct RegionQueryMsg final : sim::Message {
         job{std::move(job_)},
         attempt{attempt_},
         handoffs{handoffs_} {}
-  std::size_t wire_size() const override { return kRegionQueryWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<RegionQueryMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kRegionQueryType);
-    return id;
-  }
 };
 
 /// Aggregator → target-region aggregator: "flood this query in your region
 /// on the initiator's behalf". The receiving aggregator region-floods a
 /// REQUEST carrying the *original* initiator, so ACCEPT offers flow directly
 /// back to it — aggregators never sit on the offer path.
-struct RegionFwdMsg final : sim::Message {
+struct RegionFwdMsg final
+    : sim::MessageOf<RegionFwdMsg, kRegionFwdType, kRegionFwdWireBytes> {
   NodeId initiator;
   grid::JobSpec job;
   std::uint32_t attempt;
 
   RegionFwdMsg(NodeId initiator_, grid::JobSpec job_, std::uint32_t attempt_)
       : initiator{initiator_}, job{std::move(job_)}, attempt{attempt_} {}
-  std::size_t wire_size() const override { return kRegionFwdWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<RegionFwdMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kRegionFwdType);
-    return id;
-  }
 };
 
 /// Restarted aggregator candidate → its region (flood-relayed, region
@@ -454,21 +319,12 @@ struct RegionFwdMsg final : sim::Message {
 /// hierarchy.md "Failure modes"). Members answer with an immediate
 /// out-of-cycle report so the candidate can warm up without waiting a full
 /// load_report_period.
-struct RegionPullMsg final : sim::Message {
+struct RegionPullMsg final
+    : sim::MessageOf<RegionPullMsg, kRegionPullType, kRegionPullWireBytes> {
   NodeId from;
   FloodMeta flood;
 
   RegionPullMsg(NodeId from_, FloodMeta flood_) : from{from_}, flood{flood_} {}
-  std::size_t wire_size() const override { return kRegionPullWireBytes; }
-  std::unique_ptr<sim::Message> clone() const override {
-    return std::make_unique<RegionPullMsg>(*this);
-  }
-  sim::MessageTypeId type_id() const override { return static_type(); }
-  static sim::MessageTypeId static_type() {
-    static const sim::MessageTypeId id =
-        sim::MessageTypeRegistry::intern(kRegionPullType);
-    return id;
-  }
 };
 
 }  // namespace aria::proto

@@ -21,15 +21,6 @@ std::uint64_t plane_seed(NodeId self, std::uint64_t tag) {
 }
 constexpr std::uint64_t kProbePlane = 0;
 constexpr std::uint64_t kHierarchyPlane = 1;
-
-// Exact member count of region r under the stateless `n mod R` partition —
-// the same ground truth the audit plane checks digests against; the defense
-// plane's conservation clamp reuses it (docs/adversary.md).
-std::size_t region_population(std::size_t node_count, std::uint32_t regions,
-                              std::uint32_t r) {
-  if (regions == 0) return 0;
-  return node_count / regions + (r < node_count % regions ? 1 : 0);
-}
 }  // namespace
 
 AriaNode::AriaNode(NodeContext ctx, NodeId self, grid::NodeProfile profile,
@@ -267,19 +258,15 @@ void AriaNode::flood_request(const grid::JobSpec& spec, std::size_t attempt) {
   it->second.offers.clear();
   it->second.remote_round = false;  // each round gets one fresh extra window
 
-  const Uuid flood_id = Uuid::generate(rng_);
-  ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
-  schedule_flood_gc(flood_id);
+  const FloodMeta meta = open_flood(rng_, ctx_.config->request_hops);
 
-  // The initiator may compete for its own job (no wire traffic involved).
-  if (ctx_.config->initiator_self_candidate && can_bid(spec)) {
-    if (overload_on() && bid_gate_closed()) {
-      ++counters_.bids_suppressed;  // saturated: don't bid on own job either
-    } else {
-      const double cost = bid_cost(spec);
-      it->second.offers.emplace_back(self_, spec.id, cost);
-      emit(event::BidReceived{spec.id, self_, self_, cost});
-    }
+  // The initiator may compete for its own job (no wire traffic involved),
+  // unless it is saturated.
+  if (ctx_.config->initiator_self_candidate && can_bid(spec) &&
+      !withhold_bid()) {
+    const double cost = bid_cost(spec);
+    it->second.offers.emplace_back(self_, spec.id, cost);
+    emit(event::BidReceived{spec.id, self_, self_, cost});
   }
 
   bool wide = wide_flood(attempt);
@@ -294,9 +281,6 @@ void AriaNode::flood_request(const grid::JobSpec& spec, std::size_t attempt) {
   if (wide) ++counters_.wide_floods;
   const auto targets = flood_targets(ctx_.config->request_fanout,
                                      kInvalidNode, kInvalidNode, wide);
-  const FloodMeta meta{flood_id,
-                       static_cast<std::uint32_t>(ctx_.config->request_hops - 1),
-                       self_};
   for (NodeId t : targets) {
     ctx_.net->send(self_, t,
                    std::make_unique<RequestMsg>(self_, spec, meta, wide));
@@ -508,7 +492,7 @@ void AriaNode::assign_ack_expired(const JobId& id) {
   // Target presumed dead. Re-flood on the original initiator's behalf; the
   // job may end up executing twice if the target was alive after all (only
   // the ACKs were lost) — at-least-once semantics, resolved by the tracker.
-  const grid::JobSpec spec = std::move(p.spec);
+  grid::JobSpec spec = std::move(p.spec);
   const NodeId initiator = p.initiator;
   const bool reschedule = p.reschedule;
   pending_assigns_.erase(it);
@@ -518,12 +502,18 @@ void AriaNode::assign_ack_expired(const JobId& id) {
   if (pending_requests_.contains(id)) return;  // a round is already running
   ++counters_.assign_rediscoveries;
   emit(event::Recovery{id, 1});
-  auto [pending, inserted] = pending_requests_.try_emplace(id);
+  rediscover(std::move(spec), initiator, reschedule);
+}
+
+void AriaNode::rediscover(grid::JobSpec spec, NodeId initiator,
+                          bool reschedule) {
+  auto [it, inserted] = pending_requests_.try_emplace(spec.id);
   assert(inserted);
-  pending->second.spec = spec;
-  pending->second.recovery_reschedule = reschedule;
-  pending->second.on_behalf_of = initiator;
-  flood_request(pending->second.spec, 1);
+  PendingRequest& pending = it->second;
+  pending.spec = std::move(spec);
+  pending.recovery_reschedule = reschedule;
+  if (initiator.valid() && initiator != self_) pending.on_behalf_of = initiator;
+  flood_request(pending.spec, 1);
 }
 
 void AriaNode::accept_job(const grid::JobSpec& spec, NodeId initiator,
@@ -564,6 +554,53 @@ void AriaNode::accept_job(const grid::JobSpec& spec, NodeId initiator,
 }
 
 // ---------------------------------------------------------------------------
+// Floods and bids
+// ---------------------------------------------------------------------------
+
+FloodMeta AriaNode::open_flood(Rng& rng, std::size_t hops) {
+  const Uuid flood_id = Uuid::generate(rng);
+  ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
+  schedule_flood_gc(flood_id);
+  return FloodMeta{flood_id, static_cast<std::uint32_t>(hops - 1), self_};
+}
+
+template <class Msg>
+void AriaNode::forward_flood(NodeId from, const Msg& msg, std::size_t fanout,
+                             std::uint64_t* forwarded, bool wide) {
+  if (msg.flood.hops_left == 0) return;
+  for (NodeId t : flood_targets(fanout, from, msg.flood.origin, wide)) {
+    if (forwarded != nullptr) ++*forwarded;
+    auto copy = std::make_unique<Msg>(msg);
+    --copy->flood.hops_left;
+    ctx_.net->send(self_, t, std::move(copy));
+  }
+}
+
+double AriaNode::advertise(const grid::JobSpec& spec, double true_cost) {
+  const double cost = advertised_cost(true_cost);
+  const FloodMeta meta = open_flood(rng_, ctx_.config->inform_hops);
+  const auto targets = flood_targets(ctx_.config->inform_fanout);
+  for (NodeId t : targets) {
+    ctx_.net->send(self_, t,
+                   std::make_unique<InformMsg>(self_, spec, cost, meta));
+  }
+  if (!targets.empty()) ++counters_.informs_initiated;
+  return cost;
+}
+
+void AriaNode::send_accept(const JobId& job, NodeId to, double cost) {
+  ++counters_.accepts_sent;
+  ctx_.net->send(self_, to, std::make_unique<AcceptMsg>(self_, job, cost));
+  emit(event::BidSent{job, self_, to, cost});
+}
+
+bool AriaNode::offer_bid(const grid::JobSpec& job, NodeId to) {
+  if (!can_bid(job) || withhold_bid()) return false;
+  send_accept(job.id, to, bid_cost(job));
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // Message handling
 // ---------------------------------------------------------------------------
 
@@ -581,7 +618,7 @@ void AriaNode::handle(sim::Envelope env) {
   } else if (auto* ntf = dynamic_cast<const NotifyMsg*>(env.message.get())) {
     on_notify(*ntf);
   } else if (auto* rej = dynamic_cast<const RejectMsg*>(env.message.get())) {
-    on_reject(env.from, *rej);
+    on_reject(*rej);
   } else if (hierarchy_on() && handle_region(env)) {
     // dispatched by handle_region
   } else if (ctx_.config->healing.enabled) {
@@ -616,35 +653,13 @@ void AriaNode::on_request(NodeId from, const RequestMsg& msg) {
     return;
   }
 
-  bool replied = false;
-  if (can_bid(msg.job)) {
-    if (overload_on() && bid_gate_closed()) {
-      // Saturated: withhold the bid so discovery routes around this node.
-      // Not replying means the flood still forwards below.
-      ++counters_.bids_suppressed;
-    } else {
-      ++counters_.accepts_sent;
-      const double cost = bid_cost(msg.job);
-      ctx_.net->send(self_, msg.initiator,
-                     std::make_unique<AcceptMsg>(self_, msg.job.id, cost));
-      emit(event::BidSent{msg.job.id, self_, msg.initiator, cost});
-      replied = true;
-    }
+  // Paper-literal forwarding rule: satisfied requests stop here. A withheld
+  // bid (saturated node) still forwards, so discovery routes around it.
+  if (offer_bid(msg.job, msg.initiator) && !ctx_.config->forward_on_match) {
+    return;
   }
-  // Paper-literal forwarding rule: satisfied requests stop here.
-  if (replied && !ctx_.config->forward_on_match) return;
-  if (msg.flood.hops_left == 0) return;
-
-  FloodMeta next = msg.flood;
-  --next.hops_left;
-  const auto targets = flood_targets(ctx_.config->request_fanout, from,
-                                     msg.flood.origin, msg.wide);
-  for (NodeId t : targets) {
-    ++counters_.requests_forwarded;
-    ctx_.net->send(self_, t, std::make_unique<RequestMsg>(msg.initiator,
-                                                          msg.job, next,
-                                                          msg.wide));
-  }
+  forward_flood(from, msg, ctx_.config->request_fanout,
+                &counters_.requests_forwarded, msg.wide);
 }
 
 void AriaNode::on_inform(NodeId from, const InformMsg& msg) {
@@ -656,32 +671,17 @@ void AriaNode::on_inform(NodeId from, const InformMsg& msg) {
   if (msg.assignee != self_ && can_bid(msg.job)) {
     // An underbidder's lie also lets it falsely "improve" on advertisements.
     const double cost = bid_cost(msg.job);
-    // Reply only when the improvement clears the threshold (paper §III-D).
-    if (cost < msg.cost - ctx_.config->reschedule_threshold.to_seconds()) {
-      if (overload_on() && bid_gate_closed()) {
-        ++counters_.bids_suppressed;  // would have offered, but saturated
-      } else {
-        ++counters_.accepts_sent;
-        ctx_.net->send(self_, msg.assignee,
-                       std::make_unique<AcceptMsg>(self_, msg.job.id, cost));
-        emit(event::BidSent{msg.job.id, self_, msg.assignee, cost});
-        replied = true;
-      }
+    // Reply only when the improvement clears the threshold (paper §III-D)
+    // and this node is not saturated.
+    if (cost < msg.cost - ctx_.config->reschedule_threshold.to_seconds() &&
+        !withhold_bid()) {
+      send_accept(msg.job.id, msg.assignee, cost);
+      replied = true;
     }
   }
   if (replied && !ctx_.config->forward_on_match) return;
-  if (msg.flood.hops_left == 0) return;
-
-  FloodMeta next = msg.flood;
-  --next.hops_left;
-  const auto targets =
-      flood_targets(ctx_.config->inform_fanout, from, msg.flood.origin);
-  for (NodeId t : targets) {
-    ++counters_.informs_forwarded;
-    ctx_.net->send(self_, t,
-                   std::make_unique<InformMsg>(msg.assignee, msg.job, msg.cost,
-                                               next));
-  }
+  forward_flood(from, msg, ctx_.config->inform_fanout,
+                &counters_.informs_forwarded);
 }
 
 void AriaNode::on_accept(const AcceptMsg& msg) {
@@ -703,19 +703,7 @@ void AriaNode::on_accept(const AcceptMsg& msg) {
     emit(event::BidReceived{msg.job_id, self_, msg.node, msg.cost});
     ++counters_.sheds_rescheduled;
     ++counters_.reschedules_out;
-    if ((ctx_.config->notify_initiator || ctx_.config->failsafe) &&
-        shed.initiator.valid()) {
-      if (shed.initiator == self_) {
-        on_notify(
-            NotifyMsg{NotifyMsg::Kind::kRescheduled, msg.job_id, msg.node});
-      } else {
-        ctx_.net->send(self_, shed.initiator,
-                       std::make_unique<NotifyMsg>(
-                           NotifyMsg::Kind::kRescheduled, msg.job_id,
-                           msg.node));
-      }
-    }
-    send_assign(msg.node, shed.spec, shed.initiator, /*reschedule=*/true);
+    reassign(shed.spec, shed.initiator, msg.node);
     return;
   }
 
@@ -745,20 +733,18 @@ void AriaNode::on_accept(const AcceptMsg& msg) {
   pending_informs_.erase(pi);
   ++counters_.reschedules_out;
   sync_idle_gauge();
+  reassign(spec, initiator, msg.node);
+}
 
+void AriaNode::reassign(const grid::JobSpec& spec, NodeId initiator,
+                        NodeId target) {
   // Keep the initiator's picture fresh: announce where the job went. The
   // plain flag is the paper's optional notification; failsafe requires it.
   if ((ctx_.config->notify_initiator || ctx_.config->failsafe) &&
       initiator.valid()) {
-    if (initiator == self_) {
-      on_notify(NotifyMsg{NotifyMsg::Kind::kRescheduled, spec.id, msg.node});
-    } else {
-      ctx_.net->send(self_, initiator,
-                     std::make_unique<NotifyMsg>(NotifyMsg::Kind::kRescheduled,
-                                                 spec.id, msg.node));
-    }
+    send_notify(initiator, NotifyMsg::Kind::kRescheduled, spec.id, target);
   }
-  send_assign(msg.node, spec, initiator, /*reschedule=*/true);
+  send_assign(target, spec, initiator, /*reschedule=*/true);
 }
 
 void AriaNode::on_assign(NodeId from, const AssignMsg& msg) {
@@ -783,14 +769,9 @@ void AriaNode::on_assign(NodeId from, const AssignMsg& msg) {
     ++counters_.assign_acks_sent;
     ctx_.net->send(self_, from, std::make_unique<AssignAckMsg>(
                                     self_, msg.job.id, msg.assign_id));
-    if (!acked_assigns_.insert(msg.assign_id).second) {
+    if (!first_sighting(acked_assigns_, msg.assign_id)) {
       return;  // retransmission or network duplicate; already enqueued
     }
-    const Uuid assign_id = msg.assign_id;
-    ctx_.sim->schedule_after(ctx_.config->assign_dedup_gc_delay,
-                             [this, assign_id] {
-                               acked_assigns_.erase(assign_id);
-                             });
   }
   accept_job(msg.job, msg.initiator, msg.reschedule);
 }
@@ -810,13 +791,16 @@ void AriaNode::on_assign_ack(const AssignAckMsg& msg) {
 void AriaNode::notify_initiator_of(const JobId& id, NotifyMsg::Kind kind) {
   const auto it = initiator_of_.find(id);
   if (it == initiator_of_.end() || !it->second.valid()) return;
-  const NodeId initiator = it->second;
-  if (initiator == self_) {
-    on_notify(NotifyMsg{kind, id, self_});
+  send_notify(it->second, kind, id, self_);
+}
+
+void AriaNode::send_notify(NodeId to, NotifyMsg::Kind kind, const JobId& id,
+                           NodeId assignee) {
+  if (to == self_) {
+    on_notify(NotifyMsg{kind, id, assignee});
     return;
   }
-  ctx_.net->send(self_, initiator,
-                 std::make_unique<NotifyMsg>(kind, id, self_));
+  ctx_.net->send(self_, to, std::make_unique<NotifyMsg>(kind, id, assignee));
 }
 
 void AriaNode::on_notify(const NotifyMsg& msg) {
@@ -907,15 +891,10 @@ void AriaNode::watchdog_expired(const JobId& id) {
   const auto it = watched_.find(id);
   if (it == watched_.end()) return;
   Watchdog& w = it->second;
-  // Alive here (queued or executing locally): just keep watching.
-  if (sched_->contains(id) || (running_ && running_->job.spec.id == id)) {
-    arm_watchdog(id);
-    return;
-  }
-  // A discovery round, delegation retry, or shed re-advertisement is
-  // already in flight: keep watching rather than starting a competing one.
-  if (pending_requests_.contains(id) || pending_assigns_.contains(id) ||
-      shed_jobs_.contains(id)) {
+  // Alive here (queued or executing locally), or a discovery round,
+  // delegation retry, or shed re-advertisement is already in flight: keep
+  // watching rather than starting a competing round.
+  if (holds(id) || discovering(id) || shedding(id)) {
     arm_watchdog(id);
     return;
   }
@@ -941,12 +920,8 @@ void AriaNode::watchdog_expired(const JobId& id) {
     w.quoted_cost = 0.0;  // the recovery round records a fresh promise
   }
   emit(event::Recovery{id, w.recoveries});
-  auto [pending, inserted] = pending_requests_.try_emplace(id);
-  assert(inserted);
-  pending->second.spec = w.spec;
-  pending->second.recovery_reschedule = w.assign_confirmed;
   arm_watchdog(id);
-  flood_request(pending->second.spec, 1);
+  rediscover(w.spec, self_, w.assign_confirmed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,10 +1003,7 @@ void AriaNode::straggler_expired(const JobId& id) {
   if (w.revoke_pending) return;  // already mid-revoke
   // The job is demonstrably in motion here (held, re-discovering, or being
   // re-advertised): the failsafe machinery owns it; a revoke would race.
-  if (holds(id) || pending_requests_.contains(id) ||
-      pending_assigns_.contains(id) || shedding(id)) {
-    return;
-  }
+  if (holds(id) || discovering(id) || shedding(id)) return;
   if (w.hedges >= ctx_.config->defense.hedge_budget) return;  // budget spent
   if (!w.last_known.valid() || w.last_known == self_) return;
   if (!w.runner_up.valid() || w.runner_up == w.last_known) {
@@ -1087,8 +1059,7 @@ void AriaNode::dispatch_hedge(const JobId& id) {
   Watchdog& w = it->second;
   if (w.hedges >= ctx_.config->defense.hedge_budget) return;
   if (!w.runner_up.valid() || w.runner_up == w.last_known) return;
-  if (holds(id) || pending_requests_.contains(id) ||
-      pending_assigns_.contains(id)) {
+  if (holds(id) || discovering(id)) {
     return;  // the job found (or is finding) a home since the revoke opened
   }
   ++w.hedges;
@@ -1146,13 +1117,8 @@ void AriaNode::sweep_completion_receipts() {
   const Duration ttl = ctx_.config->completion_receipt_ttl;
   if (ttl.is_zero() || completed_here_.empty()) return;
   const TimePoint now = ctx_.sim->now();
-  for (auto it = completed_here_.begin(); it != completed_here_.end();) {
-    if (it->second + ttl <= now) {
-      it = completed_here_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(completed_here_,
+                [&](const auto& receipt) { return receipt.second + ttl <= now; });
 }
 
 // ---------------------------------------------------------------------------
@@ -1185,21 +1151,9 @@ void AriaNode::inform_tick() {
   for (const JobId& id : candidates) {
     const sched::QueuedJob* held = sched_->find(id);
     if (held == nullptr) continue;
-    const double cost = advertised_cost(
+    const double cost = advertise(
+        held->spec,
         sched_->current_cost(id, running_remaining(), ctx_.sim->now()));
-
-    const Uuid flood_id = Uuid::generate(rng_);
-    ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
-    schedule_flood_gc(flood_id);
-    const FloodMeta meta{
-        flood_id, static_cast<std::uint32_t>(ctx_.config->inform_hops - 1),
-        self_};
-    const auto targets = flood_targets(ctx_.config->inform_fanout);
-    for (NodeId t : targets) {
-      ctx_.net->send(self_, t, std::make_unique<InformMsg>(self_, held->spec,
-                                                           cost, meta));
-    }
-    if (!targets.empty()) ++counters_.informs_initiated;
     pending_informs_[id] = PendingInform{cost};
   }
 }
@@ -1269,37 +1223,35 @@ bool AriaNode::admission_over() const {
   return backlog_duration() >= ctx_.config->overload.admission_backlog;
 }
 
-bool AriaNode::bid_gate_closed() {
+bool AriaNode::withhold_bid() {
+  if (!overload_on()) return false;
   // Hard gate: a full queue must not attract more work. Winning a bid while
   // at capacity would immediately shed a victim, and under grid-wide
   // saturation that degenerates into shed ping-pong (jobs bouncing between
   // full nodes forever). Sheds stay reachable through the genuine race —
   // two delegators assigning into the same last slot.
-  if (sched_->at_capacity()) return true;
-  const OverloadParams& ov = ctx_.config->overload;
-  const Duration backlog = backlog_duration();
-  if (bids_suppressed_) {
-    if (backlog <= ov.admission_backlog.scaled(ov.bid_resume)) {
-      bids_suppressed_ = false;  // drained enough: resume bidding
+  if (!sched_->at_capacity()) {
+    const OverloadParams& ov = ctx_.config->overload;
+    const Duration backlog = backlog_duration();
+    if (bids_suppressed_) {
+      if (backlog <= ov.admission_backlog.scaled(ov.bid_resume)) {
+        bids_suppressed_ = false;  // drained enough: resume bidding
+      }
+    } else if (backlog >= ov.admission_backlog.scaled(ov.bid_stop)) {
+      bids_suppressed_ = true;  // saturating: stop attracting work
     }
-  } else if (backlog >= ov.admission_backlog.scaled(ov.bid_stop)) {
-    bids_suppressed_ = true;  // saturating: stop attracting work
+    if (!bids_suppressed_) return false;
   }
-  return bids_suppressed_;
+  ++counters_.bids_suppressed;
+  return true;
 }
 
-void AriaNode::on_reject(NodeId from, const RejectMsg& msg) {
-  (void)from;
+void AriaNode::on_reject(const RejectMsg& msg) {
   if (!overload_on()) return;  // knob off: nobody legitimately sends these
   // The fault plane may duplicate the wire message; each *refusal* carries
   // its own UUID, so retransmitted copies collapse while a legitimate second
   // refusal of the same (job, node) pair still gets through.
-  if (!seen_rejects_.insert(msg.reject_id).second) return;
-  const Uuid reject_id = msg.reject_id;
-  ctx_.sim->schedule_after(ctx_.config->assign_dedup_gc_delay,
-                           [this, reject_id] {
-                             seen_rejects_.erase(reject_id);
-                           });
+  if (!first_sighting(seen_rejects_, msg.reject_id)) return;
   handle_reject(msg.job, msg.initiator, msg.reschedule);
 }
 
@@ -1318,14 +1270,7 @@ void AriaNode::handle_reject(const grid::JobSpec& spec, NodeId initiator,
     return;
   }
   ++counters_.reject_rediscoveries;
-  auto [pending, inserted] = pending_requests_.try_emplace(spec.id);
-  assert(inserted);
-  pending->second.spec = spec;
-  pending->second.recovery_reschedule = reschedule;
-  if (initiator.valid() && initiator != self_) {
-    pending->second.on_behalf_of = initiator;
-  }
-  flood_request(pending->second.spec, 1);
+  rediscover(spec, initiator, reschedule);
 }
 
 void AriaNode::shed_job(sched::QueuedJob&& victim) {
@@ -1343,21 +1288,9 @@ void AriaNode::shed_job(sched::QueuedJob&& victim) {
   // job at the cost it would incur by *staying* here, so any less-loaded
   // neighbor outbids it (a free-rider deflates even this, starving its own
   // shed bursts of rescuers).
-  const double cost = advertised_cost(
-      sched_->cost_of_adding(victim.spec, victim.ertp, running_remaining(),
-                             ctx_.sim->now()));
-  const Uuid flood_id = Uuid::generate(rng_);
-  ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
-  schedule_flood_gc(flood_id);
-  const FloodMeta meta{
-      flood_id, static_cast<std::uint32_t>(ctx_.config->inform_hops - 1),
-      self_};
-  const auto targets = flood_targets(ctx_.config->inform_fanout);
-  for (NodeId t : targets) {
-    ctx_.net->send(self_, t, std::make_unique<InformMsg>(self_, victim.spec,
-                                                         cost, meta));
-  }
-  if (!targets.empty()) ++counters_.informs_initiated;
+  advertise(victim.spec,
+            sched_->cost_of_adding(victim.spec, victim.ertp,
+                                   running_remaining(), ctx_.sim->now()));
 
   ShedJob shed{std::move(victim.spec), initiator, {}};
   shed.timer = ctx_.sim->schedule_after(
@@ -1376,14 +1309,7 @@ void AriaNode::shed_offer_expired(const JobId& id) {
   // No taker within the offer window: fall back to the regular discovery
   // path on the initiator's behalf (same shape as a failed delegation).
   if (pending_requests_.contains(id)) return;  // a round is already running
-  auto [pending, inserted] = pending_requests_.try_emplace(id);
-  assert(inserted);
-  pending->second.spec = std::move(shed.spec);
-  pending->second.recovery_reschedule = true;
-  if (shed.initiator.valid() && shed.initiator != self_) {
-    pending->second.on_behalf_of = shed.initiator;
-  }
-  flood_request(pending->second.spec, 1);
+  rediscover(std::move(shed.spec), shed.initiator, /*reschedule=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1555,10 +1481,14 @@ bool AriaNode::handle_region(const sim::Envelope& env) {
   return true;
 }
 
+overlay::MemberLoad AriaNode::member_load() const {
+  return {idle(), backlog_duration().to_seconds(),
+          static_cast<std::uint32_t>(queue_length())};
+}
+
 void AriaNode::region_report_tick() {
   const HierarchyParams& h = ctx_.config->hierarchy;
-  const overlay::MemberLoad load{idle(), backlog_duration().to_seconds(),
-                                 static_cast<std::uint32_t>(queue_length())};
+  const overlay::MemberLoad load = member_load();
   // Report to every candidate (not just the primary) so standbys hold a
   // warm table and failover costs one retry, not a table rebuild.
   for (std::size_t k = 0; k < h.agg_standby; ++k) {
@@ -1577,10 +1507,7 @@ void AriaNode::region_digest_tick() {
   const HierarchyParams& h = ctx_.config->hierarchy;
   // Refresh the own entry, then age out members that stopped reporting
   // (crashed or partitioned) so the digest tracks the live region.
-  member_loads_[self_] = MemberReport{
-      overlay::MemberLoad{idle(), backlog_duration().to_seconds(),
-                          static_cast<std::uint32_t>(queue_length())},
-      ctx_.sim->now()};
+  member_loads_[self_] = MemberReport{member_load(), ctx_.sim->now()};
   std::vector<std::pair<NodeId, overlay::MemberLoad>> fresh;
   fresh.reserve(member_loads_.size());
   for (auto it = member_loads_.begin(); it != member_loads_.end();) {
@@ -1620,13 +1547,9 @@ void AriaNode::region_digest_tick() {
   // never resurface through region_digest_of or a future code path that
   // forgets the freshness check. Behavior-neutral for serve_region_query
   // (it already skips stale entries); pure state hygiene otherwise.
-  for (auto it = digest_table_.begin(); it != digest_table_.end();) {
-    if (it->second.received + h.staleness <= ctx_.sim->now()) {
-      it = digest_table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(digest_table_, [&](const auto& entry) {
+    return entry.second.received + h.staleness <= ctx_.sim->now();
+  });
   for (std::uint32_t r = 0; r < h.region_count; ++r) {
     if (r == my_region()) continue;
     for (std::size_t k = 0; k < h.agg_standby; ++k) {
@@ -1644,30 +1567,22 @@ void AriaNode::on_region_load(const RegionLoadMsg& msg) {
 }
 
 void AriaNode::on_region_digest(const RegionDigestMsg& msg) {
-  if (defense_on() && ctx_.config->defense.digest_clamp) {
-    // Conservation clamp: a digest is a sum of member reports, so it can
-    // never claim more members than the region holds, more idle machines
-    // than members, or negative backlog. Violations are rejected whole —
-    // "clamping" to a sane value would still let a poisoner steer
-    // delegations — and surfaced to the audit plane.
-    const overlay::RegionDigest& d = msg.digest;
-    const std::uint32_t regions =
-        static_cast<std::uint32_t>(ctx_.config->hierarchy.region_count);
-    bool bad = d.region >= regions || d.idle > d.members ||
-               d.backlog_seconds < 0.0;
-    if (!bad && ctx_.grid_size > 0) {
-      bad = d.members > region_population(ctx_.grid_size, regions, d.region);
-    }
-    if (bad) {
-      ++counters_.digests_clamped;
-      emit(event::DigestClamped{self_, msg.from, d.region, d.epoch});
-      return;
-    }
+  const overlay::RegionDigest& d = msg.digest;
+  if (defense_on() && ctx_.config->defense.digest_clamp &&
+      overlay::conservation_breaches(d, ctx_.config->hierarchy.region_count,
+                                     ctx_.grid_size)
+          .any()) {
+    // Conservation clamp, by the rule the audit plane checks too: a lying
+    // digest is rejected whole — "clamping" to a sane value would still let
+    // a poisoner steer delegations — and surfaced to the audit plane.
+    ++counters_.digests_clamped;
+    emit(event::DigestClamped{self_, msg.from, d.region, d.epoch});
+    return;
   }
   ++counters_.digests_received;
   // Last received wins: primaries and standbys broadcast independently, and
   // a later arrival is always at least as fresh a view of that region.
-  digest_table_[msg.digest.region] = DigestEntry{msg.digest, ctx_.sim->now()};
+  digest_table_[d.region] = DigestEntry{d, ctx_.sim->now()};
 }
 
 void AriaNode::send_region_query(const grid::JobSpec& spec,
@@ -1776,26 +1691,10 @@ void AriaNode::on_region_fwd(const RegionFwdMsg& msg) {
   // Entry point into this region on the remote initiator's behalf: flood a
   // REQUEST carrying the *original* initiator, so ACCEPT offers flow
   // straight back to it — this aggregator never sits on the offer path.
-  const Uuid flood_id = Uuid::generate(rng_);
-  ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
-  schedule_flood_gc(flood_id);
-  if (msg.initiator != self_ && can_bid(msg.job)) {
-    // The entry aggregator is just another member here: it competes too.
-    if (overload_on() && bid_gate_closed()) {
-      ++counters_.bids_suppressed;
-    } else {
-      ++counters_.accepts_sent;
-      const double cost = bid_cost(msg.job);
-      ctx_.net->send(self_, msg.initiator,
-                     std::make_unique<AcceptMsg>(self_, msg.job.id, cost));
-      emit(event::BidSent{msg.job.id, self_, msg.initiator, cost});
-    }
-  }
-  const FloodMeta meta{
-      flood_id, static_cast<std::uint32_t>(ctx_.config->request_hops - 1),
-      self_};
-  const auto targets = flood_targets(ctx_.config->request_fanout);
-  for (NodeId t : targets) {
+  const FloodMeta meta = open_flood(rng_, ctx_.config->request_hops);
+  // The entry aggregator is just another member here: it competes too.
+  if (msg.initiator != self_) offer_bid(msg.job, msg.initiator);
+  for (NodeId t : flood_targets(ctx_.config->request_fanout)) {
     ++counters_.requests_forwarded;
     ctx_.net->send(self_, t,
                    std::make_unique<RequestMsg>(msg.initiator, msg.job, meta));
@@ -1808,12 +1707,7 @@ void AriaNode::solicit_region_reports() {
   // The flood id comes from the hierarchy stream — this path only runs
   // after a churn restart, but the per-plane RNG discipline holds anyway.
   ++counters_.region_pulls;
-  const Uuid flood_id = Uuid::generate(hier_rng_);
-  ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
-  schedule_flood_gc(flood_id);
-  const FloodMeta meta{
-      flood_id, static_cast<std::uint32_t>(ctx_.config->request_hops - 1),
-      self_};
+  const FloodMeta meta = open_flood(hier_rng_, ctx_.config->request_hops);
   for (NodeId t : flood_targets(ctx_.config->request_fanout)) {
     ctx_.net->send(self_, t, std::make_unique<RegionPullMsg>(self_, meta));
   }
@@ -1826,29 +1720,28 @@ void AriaNode::on_region_pull(NodeId from, const RegionPullMsg& msg) {
   schedule_flood_gc(msg.flood.flood_id);
   // Answer straight to the soliciting candidate, skipping the report cycle.
   if (msg.from != self_) {
-    const overlay::MemberLoad load{idle(), backlog_duration().to_seconds(),
-                                   static_cast<std::uint32_t>(queue_length())};
     ++counters_.load_reports;
     ctx_.net->send(self_, msg.from,
-                   std::make_unique<RegionLoadMsg>(self_, load));
+                   std::make_unique<RegionLoadMsg>(self_, member_load()));
   }
-  if (msg.flood.hops_left == 0) return;
-  FloodMeta next = msg.flood;
-  --next.hops_left;
-  for (NodeId t :
-       flood_targets(ctx_.config->request_fanout, from, msg.flood.origin)) {
-    ctx_.net->send(self_, t, std::make_unique<RegionPullMsg>(msg.from, next));
-  }
+  forward_flood(from, msg, ctx_.config->request_fanout, nullptr);
 }
 
 // ---------------------------------------------------------------------------
-// Flood state GC
+// Dedup state GC
 // ---------------------------------------------------------------------------
 
 void AriaNode::schedule_flood_gc(const Uuid& flood_id) {
   overlay::FloodRelay* relay = ctx_.relay;
   ctx_.sim->schedule_after(ctx_.config->flood_gc_delay,
                            [relay, flood_id] { relay->forget(flood_id); });
+}
+
+bool AriaNode::first_sighting(std::unordered_set<Uuid>& seen, const Uuid& id) {
+  if (!seen.insert(id).second) return false;
+  ctx_.sim->schedule_after(ctx_.config->assign_dedup_gc_delay,
+                           [&seen, id] { seen.erase(id); });
+  return true;
 }
 
 }  // namespace aria::proto

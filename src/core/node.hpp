@@ -295,18 +295,52 @@ class AriaNode {
   void assign_ack_expired(const JobId& id);
   void on_notify(const NotifyMsg& msg);
 
+  // --- floods and bids -----------------------------------------------------
+  /// Starts a flood originating here: a fresh id drawn from `rng` (the
+  /// caller's plane stream), marked seen so echoes are dropped, with its
+  /// dedup GC scheduled. Returns the meta for a `hops`-hop budget.
+  FloodMeta open_flood(Rng& rng, std::size_t hops);
+  /// Relays a received flood one hop on: nothing once its hop budget is
+  /// spent, else a copy with one hop less to each flood target, excluding
+  /// the sender and the origin. `forwarded` (may be null) counts the copies.
+  template <class Msg>
+  void forward_flood(NodeId from, const Msg& msg, std::size_t fanout,
+                     std::uint64_t* forwarded, bool wide = false);
+  /// INFORM burst for a held or shed job at its advertised_cost; returns
+  /// the advertised cost.
+  double advertise(const grid::JobSpec& spec, double true_cost);
+  /// One ACCEPT quoting `cost` for `job`, counted and observed.
+  void send_accept(const JobId& job, NodeId to, double cost);
+  /// The gated ACCEPT answer to a REQUEST-shaped flood: bids bid_cost(job)
+  /// to `to` when this node can run the job and is not saturated. Returns
+  /// whether an ACCEPT went out.
+  bool offer_bid(const grid::JobSpec& job, NodeId to);
+  /// Opens a discovery round (attempt 1) for a job this node holds no round
+  /// for. A valid `initiator` other than this node is recorded as the party
+  /// the eventual ASSIGN acts for; `reschedule` marks that ASSIGN as moving
+  /// an already-placed job.
+  void rediscover(grid::JobSpec spec, NodeId initiator, bool reschedule);
+  /// Moves a job this node gave up to `target`: tells the initiator where it
+  /// went (when notifications are on), then delegates as a reschedule.
+  void reassign(const grid::JobSpec& spec, NodeId initiator, NodeId target);
+  /// Lifecycle NOTIFY to `to`, applied locally when `to` is this node.
+  void send_notify(NodeId to, NotifyMsg::Kind kind, const JobId& id,
+                   NodeId assignee);
+
   // --- overload plane (docs/overload.md) ---------------------------------
   bool overload_on() const { return ctx_.config->overload.enabled; }
   /// Is the backlog over the admission watermark right now?
   bool admission_over() const;
-  /// Updates the bid-suppression hysteresis from the current backlog and
-  /// returns its state. Called exactly where a bid decision is made, so the
-  /// gate is always fresh without extra events.
-  bool bid_gate_closed();
-  void on_reject(NodeId from, const RejectMsg& msg);
+  /// The gate at every bid site: updates the bid-suppression hysteresis
+  /// from the current backlog and returns true, counted as a suppressed
+  /// bid, while this node withholds ACCEPTs. Called exactly where a bid
+  /// decision is made, so the gate is always fresh without extra events.
+  /// Always false with the plane off.
+  bool withhold_bid();
+  void on_reject(const RejectMsg& msg);
   /// Shared by on_reject and the local self-assign refusal: tears down any
-  /// ACK bookkeeping for the attempt and starts a fresh discovery round on
-  /// the initiator's behalf (unless the job already found a home here).
+  /// ACK bookkeeping for the attempt and rediscovers on the initiator's
+  /// behalf (unless the job already found a home here).
   void handle_reject(const grid::JobSpec& spec, NodeId initiator,
                      bool reschedule);
   /// Shed-and-forward: re-advertises the victim via an immediate INFORM
@@ -328,6 +362,8 @@ class AriaNode {
   /// Should discovery attempt `attempt` (1-based) flood without the region
   /// filter? (hierarchy.wide_flood_every; always false with the plane off)
   bool wide_flood(std::size_t attempt) const;
+  /// This node's current load, as a member reports it to its aggregators.
+  overlay::MemberLoad member_load() const;
   /// Periodic member → candidate load report.
   void region_report_tick();
   /// Periodic aggregate broadcast (aggregator candidates only).
@@ -432,6 +468,9 @@ class AriaNode {
   void kick_executor();
   void complete_running();
   void schedule_flood_gc(const Uuid& flood_id);
+  /// Records `id` in a dedup set and schedules its removal after
+  /// assign_dedup_gc_delay; false if it was already there.
+  bool first_sighting(std::unordered_set<Uuid>& seen, const Uuid& id);
 
   double my_cost(const grid::JobSpec& job) const;
 

@@ -43,4 +43,17 @@ RegionDigest aggregate_loads(std::uint32_t region, std::uint64_t epoch,
   return d;
 }
 
+DigestBreaches conservation_breaches(const RegionDigest& digest,
+                                     std::size_t region_count,
+                                     std::size_t node_count) {
+  DigestBreaches b;
+  b.bad_region = region_count > 0 && digest.region >= region_count;
+  b.overcount = region_count > 0 && node_count > 0 && !b.bad_region &&
+                digest.members >
+                    region_population(node_count, region_count, digest.region);
+  b.idle_overcount = digest.idle > digest.members;
+  b.negative_backlog = digest.backlog_seconds < 0.0;
+  return b;
+}
+
 }  // namespace aria::overlay

@@ -83,4 +83,38 @@ struct RegionDigest {
 RegionDigest aggregate_loads(std::uint32_t region, std::uint64_t epoch,
                              const std::vector<MemberLoad>& loads);
 
+/// Exact member count of `region` when `node_count` nodes are split by the
+/// region_of partition (n mod R): node_count / R, plus one for the low
+/// regions. 0 when `region_count` is 0.
+constexpr std::size_t region_population(std::size_t node_count,
+                                        std::size_t region_count,
+                                        std::uint32_t region) {
+  if (region_count == 0) return 0;
+  return node_count / region_count +
+         (region < node_count % region_count ? 1 : 0);
+}
+
+/// The conservation laws a digest breaks. A digest is a sum of member
+/// reports, so it names a region of the partition, claims no more members
+/// than that region holds, no more idle machines than members, and no
+/// negative backlog. One rule for the defense plane's clamp and the audit
+/// plane's wire check (docs/adversary.md, docs/audit.md).
+struct DigestBreaches {
+  bool bad_region{false};        // region outside [0, R)
+  bool overcount{false};         // members > region population
+  bool idle_overcount{false};    // idle > members
+  bool negative_backlog{false};  // backlog_seconds < 0
+
+  bool any() const {
+    return bad_region || overcount || idle_overcount || negative_backlog;
+  }
+};
+
+/// Checks `digest` against a grid of at most `node_count` nodes split into
+/// `region_count` regions. A zero size means unknown and skips the bound it
+/// feeds; the population bound also needs the region in range.
+DigestBreaches conservation_breaches(const RegionDigest& digest,
+                                     std::size_t region_count,
+                                     std::size_t node_count);
+
 }  // namespace aria::overlay

@@ -45,8 +45,8 @@ class Message {
   }
 
   /// Deep copy, used only by fault-plane duplication. The default makes a
-  /// type non-clonable (never duplicated); copyable message types override
-  /// with a one-line copy.
+  /// type non-clonable (never duplicated); copyable message types get a
+  /// copy from MessageOf.
   virtual std::unique_ptr<Message> clone() const { return nullptr; }
 
   /// Remaining hop budget for flooded message types (REQUEST/INFORM);
@@ -54,6 +54,24 @@ class Message {
   /// counts without downcasting per concrete type.
   static constexpr std::uint32_t kNoHops = UINT32_MAX;
   virtual std::uint32_t flood_hops_left() const { return kNoHops; }
+};
+
+/// CRTP base for a copyable wire type named `kName` and metered at `kBytes`:
+/// supplies wire_size, type_id, static_type and clone, so a message type
+/// declares only its fields. `kName` is interned on first use. A type whose
+/// size depends on its payload overrides wire_size.
+template <class Self, const char* const& kName, std::size_t kBytes>
+class MessageOf : public Message {
+ public:
+  std::size_t wire_size() const override { return kBytes; }
+  MessageTypeId type_id() const override { return static_type(); }
+  std::unique_ptr<Message> clone() const override {
+    return std::make_unique<Self>(static_cast<const Self&>(*this));
+  }
+  static MessageTypeId static_type() {
+    static const MessageTypeId id = MessageTypeRegistry::intern(kName);
+    return id;
+  }
 };
 
 /// Observer of sends, for the trace, audit and journal planes. Attached like

@@ -1,133 +1,143 @@
 #include "workload/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <span>
+#include <string_view>
 
 namespace aria::workload {
 
 namespace {
 
-bool parse_size(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out = static_cast<std::size_t>(v);
+/// Decimal unsigned integer: digits only. A sign, a blank or a value `out`
+/// cannot hold is an error (strtoull would silently wrap "-1" to 2^64 - 1).
+template <class UInt>
+bool parse_uint(std::string_view text, UInt& out) {
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, out);
+  return ec == std::errc{} && end == last;
+}
+
+/// Finite decimal number. nan, inf and trailing junk are errors (strtod
+/// accepts the first two, which then reach Duration conversions as UB).
+bool parse_real(std::string_view text, double& out) {
+  const char* last = text.data() + text.size();
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last || !std::isfinite(v)) return false;
+  out = v;
   return true;
 }
 
-bool parse_probability(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (v < 0.0 || v > 1.0) return false;
+/// The comma-separated fields of `text` ("" yields one empty field).
+std::vector<std::string_view> split_commas(std::string_view text) {
+  std::vector<std::string_view> fields;
+  while (true) {
+    const auto comma = text.find(',');
+    fields.push_back(text.substr(0, comma));
+    if (comma == std::string_view::npos) return fields;
+    text.remove_prefix(comma + 1);
+  }
+}
+
+/// Exactly out.size() comma-separated finite numbers into `out`.
+bool parse_reals(std::string_view text, std::span<double> out) {
+  const auto fields = split_commas(text);
+  if (fields.size() != out.size()) return false;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!parse_real(fields[i], out[i])) return false;
+  }
+  return true;
+}
+
+template <class UInt>
+bool parse_positive(std::string_view text, UInt& out) {
+  return parse_uint(text, out) && out > 0;
+}
+
+bool parse_probability(std::string_view text, double& out) {
+  double v = 0.0;
+  if (!parse_real(text, v) || v < 0.0 || v > 1.0) return false;
   out = v;
   return true;
 }
 
 /// "START,DURATION" in minutes, both positive.
-bool parse_partition(const std::string& text, std::pair<double, double>& out) {
-  const auto comma = text.find(',');
-  if (comma == std::string::npos) return false;
-  const std::string head = text.substr(0, comma);
-  const std::string rest = text.substr(comma + 1);
-  char* end = nullptr;
-  const double start = std::strtod(head.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  const double duration = std::strtod(rest.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (start < 0.0 || duration <= 0.0) return false;
-  out = {start, duration};
+bool parse_partition(std::string_view text, std::pair<double, double>& out) {
+  double v[2]{};
+  if (!parse_reals(text, v) || v[0] < 0.0 || v[1] <= 0.0) return false;
+  out = {v[0], v[1]};
+  return true;
+}
+
+/// "TARGET,MEAN_SECONDS": a node count >= 1 and a positive mean interval.
+bool parse_expand(std::string_view text,
+                  std::pair<std::size_t, Duration>& out) {
+  const auto fields = split_commas(text);
+  std::size_t target = 0;
+  double mean = 0.0;
+  if (fields.size() != 2 || !parse_positive(fields[0], target) ||
+      !parse_real(fields[1], mean) || mean <= 0.0) {
+    return false;
+  }
+  out = {target, Duration::seconds_f(mean)};
   return true;
 }
 
 /// "START,DURATION,INTENSITY": minutes, minutes, rate multiplier > 1.
-bool parse_storm(const std::string& text, StormParams& out) {
-  const auto c1 = text.find(',');
-  if (c1 == std::string::npos) return false;
-  const auto c2 = text.find(',', c1 + 1);
-  if (c2 == std::string::npos) return false;
-  char* end = nullptr;
-  const std::string head = text.substr(0, c1);
-  const std::string mid = text.substr(c1 + 1, c2 - c1 - 1);
-  const std::string tail = text.substr(c2 + 1);
-  const double start = std::strtod(head.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  const double duration = std::strtod(mid.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  const double intensity = std::strtod(tail.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (start < 0.0 || duration <= 0.0 || intensity <= 1.0) return false;
-  out.start = Duration::seconds_f(start * 60.0);
-  out.duration = Duration::seconds_f(duration * 60.0);
-  out.intensity = intensity;
+bool parse_storm(std::string_view text, StormParams& out) {
+  double v[3]{};
+  if (!parse_reals(text, v) || v[0] < 0.0 || v[1] <= 0.0 || v[2] <= 1.0) {
+    return false;
+  }
+  out.start = Duration::seconds_f(v[0] * 60.0);
+  out.duration = Duration::seconds_f(v[1] * 60.0);
+  out.intensity = v[2];
   return true;
 }
 
 /// "RANKS" or "RANKS@R1,R2,...": candidate ranks to target, optionally
 /// restricted to the listed regions. RANKS may be 0 (inert).
-bool parse_target_churn(const std::string& text, std::uint32_t& ranks,
+bool parse_target_churn(std::string_view text, std::uint32_t& ranks,
                         std::vector<std::uint32_t>& regions) {
   const auto at = text.find('@');
-  std::size_t n = 0;
-  if (!parse_size(text.substr(0, at), n)) return false;
-  ranks = static_cast<std::uint32_t>(n);
-  if (at == std::string::npos) return true;
-  std::string rest = text.substr(at + 1);
-  if (rest.empty()) return false;
-  while (!rest.empty()) {
-    const auto comma = rest.find(',');
-    const std::string head = rest.substr(0, comma);
-    std::size_t r = 0;
-    if (!parse_size(head, r)) return false;
-    regions.push_back(static_cast<std::uint32_t>(r));
-    if (comma == std::string::npos) break;
-    rest = rest.substr(comma + 1);
+  if (!parse_uint(text.substr(0, at), ranks)) return false;
+  if (at == std::string_view::npos) return true;
+  for (const std::string_view field : split_commas(text.substr(at + 1))) {
+    if (!parse_uint(field, regions.emplace_back())) return false;
   }
-  return !regions.empty();
+  return true;
 }
 
 /// "REGION,START,DURATION": region index, then minutes. A zero duration is
 /// accepted and inert (the flags-present-but-zeroed determinism contract).
-bool parse_region_partition(const std::string& text,
+bool parse_region_partition(std::string_view text,
                             CliOptions::RegionPartitionOpt& out) {
-  const auto c1 = text.find(',');
-  if (c1 == std::string::npos) return false;
-  const auto c2 = text.find(',', c1 + 1);
-  if (c2 == std::string::npos) return false;
+  const auto fields = split_commas(text);
   std::size_t region = 0;
-  if (!parse_size(text.substr(0, c1), region)) return false;
-  char* end = nullptr;
-  const std::string mid = text.substr(c1 + 1, c2 - c1 - 1);
-  const std::string tail = text.substr(c2 + 1);
-  const double start = std::strtod(mid.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  const double duration = std::strtod(tail.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (start < 0.0 || duration < 0.0) return false;
+  double start = 0.0;
+  double duration = 0.0;
+  if (fields.size() != 3 || !parse_uint(fields[0], region) ||
+      !parse_real(fields[1], start) || !parse_real(fields[2], duration) ||
+      start < 0.0 || duration < 0.0) {
+    return false;
+  }
   out = {region, start, duration};
   return true;
 }
 
 /// "TYPE:LOSS_MULT,DUP_MULT": interned-message-type loss/dup multipliers,
 /// both >= 0 (1 = neutral, 0 = immune, >1 = starved).
-bool parse_msg_bias(const std::string& text, sim::FaultConfig::MessageBias& out) {
+bool parse_msg_bias(std::string_view text, sim::FaultConfig::MessageBias& out) {
   const auto colon = text.find(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  const std::string rest = text.substr(colon + 1);
-  const auto comma = rest.find(',');
-  if (comma == std::string::npos) return false;
-  char* end = nullptr;
-  const std::string head = rest.substr(0, comma);
-  const std::string tail = rest.substr(comma + 1);
-  const double loss_mult = std::strtod(head.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  const double dup_mult = std::strtod(tail.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (loss_mult < 0.0 || dup_mult < 0.0) return false;
-  out.type = text.substr(0, colon);
-  out.loss_mult = loss_mult;
-  out.dup_mult = dup_mult;
+  if (colon == std::string_view::npos || colon == 0) return false;
+  double v[2]{};
+  if (!parse_reals(text.substr(colon + 1), v) || v[0] < 0.0 || v[1] < 0.0) {
+    return false;
+  }
+  out.type = std::string{text.substr(0, colon)};
+  out.loss_mult = v[0];
+  out.dup_mult = v[1];
   return true;
 }
 
@@ -168,11 +178,9 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
                                      CliOptions& out) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto next = [&](const char* flag) -> std::optional<std::string> {
+    auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= args.size()) return std::nullopt;
-      ++i;
-      (void)flag;
-      return args[i];
+      return args[++i];
     };
 
     if (a == "-h" || a == "--help") {
@@ -194,24 +202,19 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
     } else if (a == "--hierarchy") {
       out.hierarchy = true;
     } else if (a == "--regions") {
-      const auto v = next("--regions");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n) || n == 0) {
+      const auto v = next();
+      if (!v || !parse_positive(*v, out.regions)) {
         return "--regions requires a positive integer";
       }
-      out.regions = n;
       out.hierarchy = true;
     } else if (a == "--queue-cap") {
-      const auto v = next("--queue-cap");
-      char* end = nullptr;
-      const double cap = v ? std::strtod(v->c_str(), &end) : 0.0;
-      if (!v || end == nullptr || *end != '\0' || cap <= 0.0) {
+      const auto v = next();
+      if (!v || !parse_real(*v, out.queue_cap) || out.queue_cap <= 0.0) {
         return "--queue-cap requires a positive number (jobs per perf unit)";
       }
-      out.queue_cap = cap;
       out.overload = true;
     } else if (a == "--storm") {
-      const auto v = next("--storm");
+      const auto v = next();
       StormParams storm;
       if (!v || !parse_storm(*v, storm)) {
         return "--storm requires START,DURATION,INTENSITY "
@@ -220,125 +223,108 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
       out.storm = storm;
       out.overload = true;
     } else if (a == "--shards") {
-      const auto v = next("--shards");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n) || n == 0) {
+      const auto v = next();
+      if (!v || !parse_positive(*v, out.shards)) {
         return "--shards requires a positive integer";
       }
-      out.shards = n;
     } else if (a == "--pdes-verify") {
       out.pdes_verify = true;
     } else if (a == "--overlay") {
-      const auto v = next("--overlay");
+      const auto v = next();
       if (!v || (*v != "blatant" && *v != "random" && *v != "smallworld")) {
         return "--overlay requires blatant|random|smallworld";
       }
       out.overlay = *v;
     } else if (a == "--scenario") {
-      const auto v = next("--scenario");
+      const auto v = next();
       if (!v) return "--scenario requires a name";
       out.scenario = *v;
     } else if (a == "--csv") {
-      const auto v = next("--csv");
+      const auto v = next();
       if (!v) return "--csv requires a directory";
       out.csv_dir = *v;
     } else if (a == "--trace") {
-      const auto v = next("--trace");
+      const auto v = next();
       if (!v) return "--trace requires an output path";
       out.trace_path = *v;
     } else if (a == "--trace-jsonl") {
-      const auto v = next("--trace-jsonl");
+      const auto v = next();
       if (!v) return "--trace-jsonl requires an output path";
       out.trace_jsonl_path = *v;
     } else if (a == "--trace-sample") {
-      const auto v = next("--trace-sample");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n) || n == 0) {
+      const auto v = next();
+      if (!v || !parse_positive(*v, out.trace_sample)) {
         return "--trace-sample requires a positive integer";
       }
-      out.trace_sample = n;
     } else if (a == "--runs") {
-      const auto v = next("--runs");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n) || n == 0) {
+      const auto v = next();
+      if (!v || !parse_positive(*v, out.runs)) {
         return "--runs requires a positive integer";
       }
-      out.runs = n;
     } else if (a == "--seed") {
-      const auto v = next("--seed");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n)) return "--seed requires an integer";
-      out.seed = n;
+      const auto v = next();
+      if (!v || !parse_uint(*v, out.seed)) {
+        return "--seed requires a non-negative integer";
+      }
     } else if (a == "--nodes") {
-      const auto v = next("--nodes");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n) || n == 0) {
+      const auto v = next();
+      if (!v || !parse_positive(*v, out.nodes)) {
         return "--nodes requires a positive integer";
       }
-      out.nodes = n;
     } else if (a == "--jobs") {
-      const auto v = next("--jobs");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n) || n == 0) {
+      const auto v = next();
+      if (!v || !parse_positive(*v, out.jobs)) {
         return "--jobs requires a positive integer";
       }
-      out.jobs = n;
     } else if (a == "--interval") {
-      const auto v = next("--interval");
-      char* end = nullptr;
-      const double secs = v ? std::strtod(v->c_str(), &end) : 0.0;
-      if (!v || end == nullptr || *end != '\0' || secs <= 0.0) {
+      const auto v = next();
+      if (!v || !parse_real(*v, out.interval_s) || out.interval_s <= 0.0) {
         return "--interval requires a positive number of seconds";
       }
-      out.interval_s = secs;
     } else if (a == "--horizon") {
-      const auto v = next("--horizon");
-      char* end = nullptr;
-      const double mins = v ? std::strtod(v->c_str(), &end) : 0.0;
-      if (!v || end == nullptr || *end != '\0' || mins <= 0.0) {
+      const auto v = next();
+      if (!v || !parse_real(*v, out.horizon_min) || out.horizon_min <= 0.0) {
         return "--horizon requires a positive number of minutes";
       }
-      out.horizon_min = mins;
     } else if (a == "--expand") {
-      const auto v = next("--expand");
-      std::pair<double, double> parsed;
-      if (!v || !parse_partition(*v, parsed) || parsed.first < 1.0) {
+      const auto v = next();
+      std::pair<std::size_t, Duration> expand;
+      if (!v || !parse_expand(*v, expand)) {
         return "--expand requires TARGET,MEAN_SECONDS (target node count, "
                "mean join interval)";
       }
-      out.expand = {static_cast<std::size_t>(parsed.first),
-                    Duration::seconds_f(parsed.second)};
+      out.expand = expand;
     } else if (a == "--loss") {
-      const auto v = next("--loss");
+      const auto v = next();
       if (!v || !parse_probability(*v, out.loss)) {
         return "--loss requires a probability in [0,1]";
       }
     } else if (a == "--dup") {
-      const auto v = next("--dup");
+      const auto v = next();
       if (!v || !parse_probability(*v, out.duplicate)) {
         return "--dup requires a probability in [0,1]";
       }
     } else if (a == "--spike") {
-      const auto v = next("--spike");
+      const auto v = next();
       if (!v || !parse_probability(*v, out.spike)) {
         return "--spike requires a probability in [0,1]";
       }
     } else if (a == "--churn") {
       out.churn = true;
     } else if (a == "--partition") {
-      const auto v = next("--partition");
+      const auto v = next();
       std::pair<double, double> window;
       if (!v || !parse_partition(*v, window)) {
         return "--partition requires START,DURATION in minutes";
       }
       out.partitions.push_back(window);
     } else if (a == "--fault-seed") {
-      const auto v = next("--fault-seed");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n)) return "--fault-seed requires an integer";
-      out.fault_seed = n;
+      const auto v = next();
+      if (!v || !parse_uint(*v, out.fault_seed)) {
+        return "--fault-seed requires a non-negative integer";
+      }
     } else if (a == "--target-churn") {
-      const auto v = next("--target-churn");
+      const auto v = next();
       if (!v ||
           !parse_target_churn(*v, out.target_churn_ranks,
                               out.target_churn_regions)) {
@@ -346,7 +332,7 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
                "(candidate ranks, optional region list)";
       }
     } else if (a == "--region-partition") {
-      const auto v = next("--region-partition");
+      const auto v = next();
       CliOptions::RegionPartitionOpt rp;
       if (!v || !parse_region_partition(*v, rp)) {
         return "--region-partition requires REGION,START,DURATION "
@@ -354,7 +340,7 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
       }
       out.region_partitions.push_back(rp);
     } else if (a == "--msg-fault-bias") {
-      const auto v = next("--msg-fault-bias");
+      const auto v = next();
       sim::FaultConfig::MessageBias bias;
       if (!v || !parse_msg_bias(*v, bias)) {
         return "--msg-fault-bias requires TYPE:LOSS_MULT,DUP_MULT "
@@ -362,20 +348,17 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
       }
       out.msg_fault_bias.push_back(bias);
     } else if (a == "--adversaries") {
-      const auto v = next("--adversaries");
+      const auto v = next();
       if (!v || !parse_probability(*v, out.adversaries)) {
         return "--adversaries requires a node fraction in [0,1]";
       }
     } else if (a == "--lie-factor") {
-      const auto v = next("--lie-factor");
-      char* end = nullptr;
-      const double f = v ? std::strtod(v->c_str(), &end) : 0.0;
-      if (!v || end == nullptr || *end != '\0' || f < 1.0) {
+      const auto v = next();
+      if (!v || !parse_real(*v, out.lie_factor) || out.lie_factor < 1.0) {
         return "--lie-factor requires a factor >= 1";
       }
-      out.lie_factor = f;
     } else if (a == "--adversary-roles") {
-      const auto v = next("--adversary-roles");
+      const auto v = next();
       if (!v) {
         return "--adversary-roles requires a comma-separated list "
                "(underbid|blackhole|freeride|poison)";
@@ -384,12 +367,10 @@ std::optional<std::string> parse_cli(const std::vector<std::string>& args,
         return err;
       }
     } else if (a == "--adversary-seed") {
-      const auto v = next("--adversary-seed");
-      std::size_t n = 0;
-      if (!v || !parse_size(*v, n)) {
-        return "--adversary-seed requires an integer";
+      const auto v = next();
+      if (!v || !parse_uint(*v, out.adversary_seed)) {
+        return "--adversary-seed requires a non-negative integer";
       }
-      out.adversary_seed = n;
     } else if (a == "--defenses") {
       out.defenses = true;
     } else if (a == "--audit") {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/gossip.hpp"
 
 namespace aria::proto {
 namespace {
@@ -93,6 +94,71 @@ TEST(Messages, PolymorphicDispatchThroughBasePointer) {
   EXPECT_EQ(m->type_name(), "ACCEPT");
   EXPECT_NE(dynamic_cast<AcceptMsg*>(m.get()), nullptr);
   EXPECT_EQ(dynamic_cast<RequestMsg*>(m.get()), nullptr);
+
+  // Every wire type, through the base pointer the network and the fault
+  // plane see: its registered name, its metered size, and a clone that
+  // keeps both (fault-plane duplication silently skips a type whose
+  // clone() is null).
+  struct Row {
+    std::unique_ptr<sim::Message> message;
+    const char* type;
+    std::size_t bytes;
+  };
+  const grid::JobSpec job = sample_job(rng);
+  const JobId id = job.id;
+  const NodeId n{3};
+  const overlay::RegionDigest digest{1, 2, 3, 1, 4.0, 5};
+  std::vector<Row> rows;
+  rows.push_back({std::make_unique<RequestMsg>(n, job, FloodMeta{}),
+                  kRequestType, kRequestWireBytes});
+  rows.push_back({std::make_unique<AcceptMsg>(n, id, 1.0), kAcceptType,
+                  kAcceptWireBytes});
+  rows.push_back({std::make_unique<InformMsg>(n, job, 1.0, FloodMeta{}),
+                  kInformType, kInformWireBytes});
+  rows.push_back(
+      {std::make_unique<AssignMsg>(n, job), kAssignType, kAssignWireBytes});
+  rows.push_back(
+      {std::make_unique<NotifyMsg>(NotifyMsg::Kind::kQueued, id, n),
+       kNotifyType, kNotifyWireBytes});
+  rows.push_back({std::make_unique<AssignAckMsg>(n, id, Uuid::generate(rng)),
+                  kAssignAckType, kAssignAckWireBytes});
+  rows.push_back(
+      {std::make_unique<RejectMsg>(n, job, n, false, Uuid::generate(rng)),
+       kRejectType, kRejectWireBytes});
+  rows.push_back(
+      {std::make_unique<PingMsg>(n, 1u), kPingType, kPingWireBytes});
+  rows.push_back({std::make_unique<PongMsg>(n, 1u, std::vector<NodeId>{n}),
+                  kPongType, kPongWireBytes});
+  rows.push_back(
+      {std::make_unique<LinkReqMsg>(n), kLinkReqType, kLinkReqWireBytes});
+  rows.push_back({std::make_unique<LinkAckMsg>(n, std::vector<NodeId>{n}),
+                  kLinkAckType, kLinkAckWireBytes});
+  rows.push_back(
+      {std::make_unique<RegionLoadMsg>(n, overlay::MemberLoad{true, 2.0, 1}),
+       kRegionLoadType, kRegionLoadWireBytes});
+  rows.push_back({std::make_unique<RegionDigestMsg>(n, digest),
+                  kRegionDigestType, kRegionDigestWireBytes});
+  rows.push_back({std::make_unique<RegionQueryMsg>(n, job, 2u),
+                  kRegionQueryType, kRegionQueryWireBytes});
+  rows.push_back({std::make_unique<RegionFwdMsg>(n, job, 2u), kRegionFwdType,
+                  kRegionFwdWireBytes});
+  rows.push_back({std::make_unique<RegionPullMsg>(n, FloodMeta{}),
+                  kRegionPullType, kRegionPullWireBytes});
+  // GOSSIP meters a header plus a per-summary increment.
+  rows.push_back({std::make_unique<GossipMsg>(std::vector<NodeSummary>(2)),
+                  kGossipType,
+                  kGossipHeaderWireBytes + 2 * kGossipSummaryWireBytes});
+  ASSERT_EQ(rows.size(), 17u);
+  for (const Row& row : rows) {
+    const sim::Message& msg = *row.message;
+    EXPECT_EQ(msg.type_name(), row.type);
+    EXPECT_EQ(msg.wire_size(), row.bytes) << row.type;
+    const std::unique_ptr<sim::Message> copy = msg.clone();
+    ASSERT_NE(copy, nullptr) << row.type;
+    EXPECT_EQ(copy->type_id(), msg.type_id()) << row.type;
+    EXPECT_EQ(copy->wire_size(), msg.wire_size()) << row.type;
+    EXPECT_EQ(copy->flood_hops_left(), msg.flood_hops_left()) << row.type;
+  }
 }
 
 TEST(Messages, FloodMetaDefaults) {

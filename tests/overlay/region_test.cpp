@@ -34,7 +34,15 @@ TEST(Region, PartitionCoversAndIsDisjoint) {
   for (std::size_t r = 0; r < R; ++r) {
     EXPECT_EQ(sizes[r], 100u) << "mod-R partition must be balanced when R "
                                  "divides the node count";
+    EXPECT_EQ(region_population(700, R, static_cast<std::uint32_t>(r)), 100u);
   }
+  // When R does not divide the node count, the low regions hold one more.
+  std::vector<std::size_t> uneven(R, 0);
+  for (std::uint32_t n = 0; n < 703; ++n) ++uneven[region_of(NodeId{n}, R)];
+  for (std::uint32_t r = 0; r < R; ++r) {
+    EXPECT_EQ(region_population(703, R, r), uneven[r]) << r;
+  }
+  EXPECT_EQ(region_population(703, 0, 0), 0u);
 }
 
 TEST(Region, DegenerateRegionCountsCollapseToOneRegion) {
@@ -140,6 +148,27 @@ TEST(Region, AggregateLoadsConservesTotals) {
   EXPECT_EQ(d.idle, idle);
   EXPECT_EQ(d.queue_len, queued);
   EXPECT_DOUBLE_EQ(d.backlog_seconds, backlog);
+
+  // A fold of real reports breaks no conservation law (57 members fit
+  // region 3 of R = 4 on a 228-node grid); tampering with one field breaks
+  // exactly the law that field feeds.
+  EXPECT_FALSE(conservation_breaches(d, 4, 228).any());
+  RegionDigest lie = d;
+  lie.members = 58;
+  EXPECT_TRUE(conservation_breaches(lie, 4, 228).overcount);
+  EXPECT_FALSE(conservation_breaches(lie, 4, 0).any());  // size unknown
+  lie = d;
+  lie.region = 4;
+  const DigestBreaches out_of_range = conservation_breaches(lie, 4, 228);
+  EXPECT_TRUE(out_of_range.bad_region);
+  EXPECT_FALSE(out_of_range.overcount);  // no population outside [0, R)
+  EXPECT_FALSE(conservation_breaches(lie, 0, 228).any());  // R unknown
+  lie = d;
+  lie.idle = lie.members + 1;
+  EXPECT_TRUE(conservation_breaches(lie, 4, 228).idle_overcount);
+  lie = d;
+  lie.backlog_seconds = -1.0;
+  EXPECT_TRUE(conservation_breaches(lie, 4, 228).negative_backlog);
 }
 
 TEST(Region, AggregateOfNothingIsEmpty) {

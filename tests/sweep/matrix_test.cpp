@@ -148,6 +148,17 @@ TEST(SweepMatrix, ParseErrorsCarrySourceAndLine) {
   std::istringstream trailing_label{"--scenario FCFS --label\n"};
   EXPECT_THROW(SweepMatrix::parse(trailing_label, "m.txt"),
                std::invalid_argument);
+
+  // Rows go through aria_sim's parser, numeric checks included.
+  std::istringstream bad_number{"--scenario FCFS\n--nodes -1\n"};
+  try {
+    SweepMatrix::parse(bad_number, "m.txt");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("m.txt:2:"), std::string::npos);
+    EXPECT_NE(what.find("--nodes"), std::string::npos);
+  }
 }
 
 TEST(SweepMatrix, ParseFileMissingPathThrows) {

@@ -102,6 +102,37 @@ TEST(Cli, RejectsBadFaultValues) {
   EXPECT_TRUE(parse_cli({"--dup", "nope"}, o).has_value());
   EXPECT_TRUE(parse_cli({"--partition", "120"}, o).has_value());
   EXPECT_TRUE(parse_cli({"--partition", "x,30"}, o).has_value());
+  // nan slips past every range comparison, so it needs its own rejection;
+  // comma-separated values go through the same finite-number parser.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--loss", "nan"},
+           {"--dup", "inf"},
+           {"--spike", "-nan"},
+           {"--adversaries", "nan"},
+           {"--lie-factor", "inf"},
+           {"--lie-factor", "nan"},
+           {"--partition", "nan,30"},
+           {"--partition", "120,inf"},
+           {"--partition", ",30"},
+           {"--region-partition", "1,nan,30"},
+           {"--region-partition", "-1,0,30"},
+           {"--msg-fault-bias", "REQUEST:nan,1"},
+           {"--msg-fault-bias", "REQUEST:1,inf"},
+           {"--target-churn", "-1"},
+           {"--target-churn", "2@1,-3"},
+           {"--target-churn", "4294967296"},
+           {"--fault-seed", "-1"},
+           {"--adversary-seed", "-1"},
+           {"--seed", "-1"},
+           {"--seed", "+1"},
+           {"--seed", "18446744073709551616"},
+       }) {
+    CliOptions bad;
+    const auto err = parse_cli(args, bad);
+    ASSERT_TRUE(err.has_value()) << args[0] << " " << args[1];
+    EXPECT_NE(err->find(args[0]), std::string::npos) << *err;
+  }
   for (const char* flag : {"--loss", "--dup", "--spike", "--partition",
                            "--fault-seed"}) {
     CliOptions o2;
@@ -256,6 +287,17 @@ TEST(Cli, RejectsBadNumbers) {
   EXPECT_TRUE(parse_cli({"--runs", "0"}, o).has_value());
   EXPECT_TRUE(parse_cli({"--nodes", "12x"}, o).has_value());
   EXPECT_TRUE(parse_cli({"--jobs", "0"}, o).has_value());
+  // A leading minus used to wrap to 2^64 - 1 and abort the run with
+  // bad_alloc; overflow and other signs are refused the same way.
+  for (const char* flag : {"--nodes", "--jobs", "--runs", "--shards",
+                           "--regions", "--trace-sample"}) {
+    for (const char* value : {"-1", "-2", "+3", " 4", "99999999999999999999"}) {
+      CliOptions bad;
+      const auto err = parse_cli({flag, value}, bad);
+      ASSERT_TRUE(err.has_value()) << flag << " " << value;
+      EXPECT_NE(err->find(flag), std::string::npos) << *err;
+    }
+  }
 }
 
 TEST(Cli, UsageMentionsEveryFlag) {
@@ -293,6 +335,27 @@ TEST(Cli, RejectsBadWorkloadOverrides) {
   EXPECT_TRUE(parse_cli({"--horizon"}, o).has_value());
   EXPECT_TRUE(parse_cli({"--expand", "140"}, o).has_value());
   EXPECT_TRUE(parse_cli({"--expand", "0,30"}, o).has_value());
+  // nan and inf used to run, with undefined Duration conversions.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--horizon", "nan"},
+           {"--horizon", "inf"},
+           {"--interval", "nan"},
+           {"--interval", "inf"},
+           {"--queue-cap", "nan"},
+           {"--queue-cap", "inf"},
+           {"--storm", "0,inf,6"},
+           {"--storm", "nan,20,6"},
+           {"--storm", "0,20,nan"},
+           {"--expand", "1e300,30"},
+           {"--expand", "140,nan"},
+           {"--expand", "-140,30"},
+       }) {
+    CliOptions bad;
+    const auto err = parse_cli(args, bad);
+    ASSERT_TRUE(err.has_value()) << args[0] << " " << args[1];
+    EXPECT_NE(err->find(args[0]), std::string::npos) << *err;
+  }
 }
 
 TEST(Cli, ResolveAppliesWorkloadOverrides) {
