@@ -127,5 +127,5 @@ int main() {
         c_completed + 0.5 >= static_cast<double>(cfg.job_count) &&
             aria_summary.completed_jobs.mean() + 0.5 >=
                 static_cast<double>(cfg.job_count));
-  return 0;
+  return finish();
 }

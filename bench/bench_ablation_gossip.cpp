@@ -162,5 +162,5 @@ int main() {
         aria_summary.completion_minutes.mean() < g.completion_minutes);
   shape("gossip's background dissemination costs more than ARiA's floods",
         g.traffic_mib > aria_summary.traffic_mib_mean_total());
-  return 0;
+  return finish();
 }

@@ -86,5 +86,5 @@ int main() {
         paper_completion < starved_completion);
   shape("fanout 6 adds little coverage for its extra traffic (<= 40% more)",
         greedy_request_mib <= paper_request_mib * 1.4);
-  return 0;
+  return finish();
 }

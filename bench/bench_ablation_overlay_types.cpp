@@ -63,5 +63,5 @@ int main() {
 
   shape("meta-scheduling performance is overlay-robust (spread < 15%)",
         worst_completion < blatant_completion * 1.15);
-  return 0;
+  return finish();
 }

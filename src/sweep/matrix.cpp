@@ -143,9 +143,8 @@ SweepMatrix SweepMatrix::preset(const std::string& name, std::size_t seeds,
     return matrix;
   }
   if (name == "table2-smoke") {
-    // The downsizing bench_table2_scenarios has always used for its smoke
-    // sweep: 100 nodes, 150 jobs, doubled arrival rate, 30 h horizon,
-    // expansion shrunk to 140 nodes joining every 30 s.
+    // Every scenario at smoke size: 100 nodes, 150 jobs, doubled arrival
+    // rate, 30 h horizon, expansion shrunk to 140 nodes joining every 30 s.
     for (const auto& s : workload::all_scenarios()) {
       MatrixEntry e = row(s.name);
       e.options.nodes = 100;

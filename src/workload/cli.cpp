@@ -1,33 +1,11 @@
 #include "workload/cli.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <span>
 #include <string_view>
 
 namespace aria::workload {
 
 namespace {
-
-/// Decimal unsigned integer: digits only. A sign, a blank or a value `out`
-/// cannot hold is an error (strtoull would silently wrap "-1" to 2^64 - 1).
-template <class UInt>
-bool parse_uint(std::string_view text, UInt& out) {
-  const char* last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, out);
-  return ec == std::errc{} && end == last;
-}
-
-/// Finite decimal number. nan, inf and trailing junk are errors (strtod
-/// accepts the first two, which then reach Duration conversions as UB).
-bool parse_real(std::string_view text, double& out) {
-  const char* last = text.data() + text.size();
-  double v = 0.0;
-  const auto [end, ec] = std::from_chars(text.data(), last, v);
-  if (ec != std::errc{} || end != last || !std::isfinite(v)) return false;
-  out = v;
-  return true;
-}
 
 /// The comma-separated fields of `text` ("" yields one empty field).
 std::vector<std::string_view> split_commas(std::string_view text) {

@@ -1,10 +1,14 @@
-// Command-line options for the `aria_sim` scenario runner. Parsing lives in
-// the library so it is unit-testable; the tool itself is a thin main().
+// Command-line options for the `aria_sim` scenario runner, plus the strict
+// number parsers the tools and benches share. Parsing lives in the library
+// so it is unit-testable; the tool itself is a thin main().
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -135,6 +139,32 @@ struct CliOptions {
            any_region_partitions() || adversaries > 0.0;
   }
 };
+
+// The number parsers aria_sim, aria_sweep and the benches share. They are
+// static so each includer gets a private copy the compiler inlines freely:
+// with external linkage GCC inlines them less into parse_cli, which changes
+// the code of every binary that links it.
+
+/// Decimal unsigned integer: digits only. A sign, a blank, trailing junk or
+/// a value `out` cannot hold is an error (strtoull would silently wrap "-1"
+/// to 2^64 - 1, and atoll reads "3x" as 3).
+template <class UInt>
+static bool parse_uint(std::string_view text, UInt& out) {
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, out);
+  return ec == std::errc{} && end == last;
+}
+
+/// Finite decimal number. nan, inf and trailing junk are errors (strtod
+/// accepts the first two, which then reach Duration conversions as UB).
+static inline bool parse_real(std::string_view text, double& out) {
+  const char* last = text.data() + text.size();
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc{} || end != last || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
 
 /// Parses argv (excluding argv[0]). On error returns the message; on
 /// success fills `out`.

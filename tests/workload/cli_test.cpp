@@ -288,16 +288,36 @@ TEST(Cli, RejectsBadNumbers) {
   EXPECT_TRUE(parse_cli({"--nodes", "12x"}, o).has_value());
   EXPECT_TRUE(parse_cli({"--jobs", "0"}, o).has_value());
   // A leading minus used to wrap to 2^64 - 1 and abort the run with
-  // bad_alloc; overflow and other signs are refused the same way.
+  // bad_alloc; overflow, other signs and trailing junk (which atoll reads
+  // as the leading digits) are refused the same way.
   for (const char* flag : {"--nodes", "--jobs", "--runs", "--shards",
-                           "--regions", "--trace-sample"}) {
-    for (const char* value : {"-1", "-2", "+3", " 4", "99999999999999999999"}) {
+                           "--regions", "--trace-sample", "--seed",
+                           "--fault-seed"}) {
+    for (const char* value : {"-1", "-2", "+3", " 4", "99999999999999999999",
+                              "3x", "1e2", "2abc", "12junk"}) {
       CliOptions bad;
       const auto err = parse_cli({flag, value}, bad);
       ASSERT_TRUE(err.has_value()) << flag << " " << value;
       EXPECT_NE(err->find(flag), std::string::npos) << *err;
     }
   }
+}
+
+TEST(Cli, SharedNumberParsersAreStrict) {
+  // aria_sweep's flags and the ARIA_BENCH_* variables parse through these.
+  std::uint64_t u = 7;
+  for (const char* bad : {"", "3x", "1e2", "2abc", "12junk", "-1", "+3", " 4",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_uint(bad, u)) << bad;
+  }
+  EXPECT_TRUE(parse_uint("18446744073709551615", u));
+  EXPECT_EQ(u, 18446744073709551615u);
+  double d = 0.0;
+  for (const char* bad : {"", "0.2x", "nan", "inf", "1e999", "0,2"}) {
+    EXPECT_FALSE(parse_real(bad, d)) << bad;
+  }
+  EXPECT_TRUE(parse_real("0.2", d));
+  EXPECT_DOUBLE_EQ(d, 0.2);
 }
 
 TEST(Cli, UsageMentionsEveryFlag) {

@@ -21,6 +21,7 @@
 #include "sweep/matrix.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
+#include "workload/cli.hpp"
 
 namespace {
 
@@ -36,12 +37,16 @@ struct SweepCli {
   bool show_help{false};
 };
 
-const char kUsage[] = R"(aria_sweep: parallel scenario sweeps with deterministic merged reports
+std::string usage() {
+  std::string presets;
+  for (const auto& name : aria::sweep::SweepMatrix::preset_names()) {
+    presets += (presets.empty() ? "" : ", ") + name;
+  }
+  return R"(aria_sweep: parallel scenario sweeps with deterministic merged reports
 
 usage: aria_sweep (--preset NAME | --matrix FILE) [options]
 
-  --preset NAME       built-in matrix: table2, table2-smoke, quick,
-                      scale2k, scale10k-hier, chaos-hier, adversary
+  --preset NAME       built-in matrix (presets listed below)
   --matrix FILE       matrix file: one row per line of aria_sim flags
                       (plus --label NAME); '#' comments
   --seeds N           seeds per preset row (default: 1; matrix rows use
@@ -55,15 +60,16 @@ usage: aria_sweep (--preset NAME | --matrix FILE) [options]
 
 The merged report bytes are identical for any --workers value; see
 docs/sweep.md for the determinism contract and the matrix file format.
-)";
+
+presets: )" + presets + "\n";
+}
 
 std::optional<std::string> parse(const std::vector<std::string>& args,
                                  SweepCli& out) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto next = [&](const char* flag) -> std::optional<std::string> {
+    auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= args.size()) return std::nullopt;
-      (void)flag;
       return args[++i];
     };
     if (a == "--help" || a == "-h") {
@@ -73,32 +79,33 @@ std::optional<std::string> parse(const std::vector<std::string>& args,
     } else if (a == "--quiet") {
       out.quiet = true;
     } else if (a == "--preset") {
-      const auto v = next("--preset");
+      const auto v = next();
       if (!v) return "--preset requires a name";
       out.preset = *v;
     } else if (a == "--matrix") {
-      const auto v = next("--matrix");
+      const auto v = next();
       if (!v) return "--matrix requires a file path";
       out.matrix_file = *v;
     } else if (a == "--out") {
-      const auto v = next("--out");
+      const auto v = next();
       if (!v) return "--out requires a directory";
       out.out_dir = *v;
     } else if (a == "--seeds") {
-      const auto v = next("--seeds");
-      const long long n = v ? std::atoll(v->c_str()) : 0;
-      if (n <= 0) return "--seeds requires a positive integer";
-      out.seeds = static_cast<std::size_t>(n);
+      const auto v = next();
+      if (!v || !aria::workload::parse_uint(*v, out.seeds) || out.seeds == 0) {
+        return "--seeds requires a positive integer";
+      }
     } else if (a == "--seed") {
-      const auto v = next("--seed");
-      const long long n = v ? std::atoll(v->c_str()) : -1;
-      if (n < 0) return "--seed requires a non-negative integer";
-      out.seed = static_cast<std::uint64_t>(n);
+      const auto v = next();
+      if (!v || !aria::workload::parse_uint(*v, out.seed)) {
+        return "--seed requires a non-negative integer";
+      }
     } else if (a == "--workers") {
-      const auto v = next("--workers");
-      const long long n = v ? std::atoll(v->c_str()) : 0;
-      if (n <= 0) return "--workers requires a positive integer";
-      out.workers = static_cast<std::size_t>(n);
+      const auto v = next();
+      if (!v || !aria::workload::parse_uint(*v, out.workers) ||
+          out.workers == 0) {
+        return "--workers requires a positive integer";
+      }
     } else {
       return "unknown option: " + a;
     }
@@ -118,11 +125,11 @@ int main(int argc, char** argv) {
 
   SweepCli cli;
   if (const auto error = parse({argv + 1, argv + argc}, cli)) {
-    std::cerr << "error: " << *error << "\n\n" << kUsage;
+    std::cerr << "error: " << *error << "\n\n" << usage();
     return 2;
   }
   if (cli.show_help) {
-    std::cout << kUsage;
+    std::cout << usage();
     return 0;
   }
   if (cli.list_presets) {

@@ -1,14 +1,16 @@
 #!/usr/bin/env sh
 # Measures the event-kernel hot paths that BENCH_sim_kernel.json tracks:
 # the simulator/network/traffic micro-benchmarks plus the Table-II macro
-# sweep. Run it once on the baseline commit and once on the candidate,
-# then diff the JSON medians.
+# sweep (`aria_sweep --preset table2-smoke --seeds 1`: all 26 scenarios
+# downsized, one seed each). Run it once on the baseline commit and once on
+# the candidate, then diff the JSON medians.
 #
 #   ./tools/bench_sim_kernel.sh [build-dir] [out.json] [--repetitions N]
 #
 # --repetitions sets the google-benchmark repetition count (default 3);
 # the bench_all gate drops it to 1 for CI smoke runs where noise beats
-# runtime. Requires a Release build with ARIA_BUILD_BENCH=ON (the default).
+# runtime. Requires a Release build with ARIA_BUILD_BENCH=ON (the default)
+# and the tools.
 set -eu
 
 BUILD_DIR="build"
@@ -53,10 +55,14 @@ case "$REPETITIONS" in
 esac
 
 MICRO="$BUILD_DIR/bench/bench_micro_core"
-TABLE2="$BUILD_DIR/bench/bench_table2_scenarios"
+SWEEP="$BUILD_DIR/tools/aria_sweep"
 
 if [ ! -x "$MICRO" ]; then
   echo "error: $MICRO not found -- build with -DARIA_BUILD_BENCH=ON first" >&2
+  exit 1
+fi
+if [ ! -x "$SWEEP" ]; then
+  echo "error: $SWEEP not found -- build the tools first" >&2
   exit 1
 fi
 
@@ -68,14 +74,10 @@ echo "== micro: simulator / network / traffic hot paths (median of $REPETITIONS)
   --benchmark_out="$OUT" \
   --benchmark_out_format=json
 
-if [ -x "$TABLE2" ]; then
-  echo "== macro: full Table-II scenario sweep (wall clock) =="
-  start=$(date +%s%N)
-  "$TABLE2" > /dev/null
-  end=$(date +%s%N)
-  echo "bench_table2_scenarios: $(( (end - start) / 1000000 )) ms"
-else
-  echo "note: $TABLE2 not built, skipping macro sweep" >&2
-fi
+echo "== macro: downsized Table-II scenario sweep (wall clock) =="
+start=$(date +%s%N)
+"$SWEEP" --preset table2-smoke --seeds 1 --quiet > /dev/null
+end=$(date +%s%N)
+echo "aria_sweep --preset table2-smoke --seeds 1: $(( (end - start) / 1000000 )) ms"
 
 echo "micro results written to $OUT"
