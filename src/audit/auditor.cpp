@@ -184,6 +184,8 @@ void AuditCollector::check(const proto::event::Reputation& e, TimePoint at) {
 void AuditCollector::on_message(NodeId from, NodeId,
                                 const sim::Message& message, TimePoint sent,
                                 TimePoint, bool) {
+  // Wire types are final, so a type-id match is an exact downcast.
+  const sim::MessageTypeId type = message.type_id();
   // Digest conservation against ground truth: a REGION_DIGEST may summarize
   // fewer members than the region holds (staleness ages reporters out) but
   // never more, idle capacity can never exceed the member count, backlogs
@@ -193,7 +195,8 @@ void AuditCollector::on_message(NodeId from, NodeId,
   // injection doing its job) are re-attributed to an informational counter;
   // either way the (originator, region, epoch) key is remembered so the
   // defense clamp's rejections can be matched against real lies.
-  if (const auto* rd = dynamic_cast<const proto::RegionDigestMsg*>(&message)) {
+  if (type == proto::RegionDigestMsg::static_type()) {
+    const auto* rd = static_cast<const proto::RegionDigestMsg*>(&message);
     const overlay::RegionDigest& d = rd->digest;
     bool bad = false;
     const bool expected =
@@ -250,7 +253,8 @@ void AuditCollector::on_message(NodeId from, NodeId,
   // count dispatch decisions, compared against the per-job budget. A nil id
   // (hedging without acknowledged delegation) cannot be deduplicated, so
   // each send counts; the engine always arms assign_ack with the defenses.
-  if (const auto* as = dynamic_cast<const proto::AssignMsg*>(&message)) {
+  if (type == proto::AssignMsg::static_type()) {
+    const auto* as = static_cast<const proto::AssignMsg*>(&message);
     if (as->hedge) {
       JobAudit& j = job(as->job.id);
       bool fresh = as->assign_id.is_nil();

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/time.hpp"
@@ -71,6 +72,26 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
+};
+
+/// Per-entity child streams of one parent: stream `i` is parent.fork(i),
+/// forked on first use into a table indexed by `i` (a dense NodeId value).
+/// fork() leaves the parent unchanged, so the order in which the slots fill
+/// never changes any stream.
+class ForkTable {
+ public:
+  explicit ForkTable(Rng parent) : parent_{parent} {}
+
+  Rng& at(std::uint32_t i) {
+    if (i >= slots_.size()) slots_.resize(std::size_t{i} + 1);
+    std::optional<Rng>& slot = slots_[i];
+    if (!slot) slot.emplace(parent_.fork(i));
+    return *slot;
+  }
+
+ private:
+  Rng parent_;
+  std::vector<std::optional<Rng>> slots_;
 };
 
 }  // namespace aria

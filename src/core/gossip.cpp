@@ -84,10 +84,13 @@ void GossipNode::gossip_tick() {
 }
 
 void GossipNode::handle(sim::Envelope env) {
-  if (auto* g = dynamic_cast<const GossipMsg*>(env.message.get())) {
-    on_gossip(*g);
-  } else if (auto* asg = dynamic_cast<const AssignMsg*>(env.message.get())) {
-    accept_job(asg->job);
+  // Type-id dispatch, as AriaNode::handle: wire types are final.
+  const sim::Message& m = *env.message;
+  const sim::MessageTypeId type = m.type_id();
+  if (type == GossipMsg::static_type()) {
+    on_gossip(static_cast<const GossipMsg&>(m));
+  } else if (type == AssignMsg::static_type()) {
+    accept_job(static_cast<const AssignMsg&>(m).job);
   }
 }
 

@@ -605,31 +605,35 @@ bool AriaNode::offer_bid(const grid::JobSpec& job, NodeId to) {
 // ---------------------------------------------------------------------------
 
 void AriaNode::handle(sim::Envelope env) {
-  if (auto* req = dynamic_cast<const RequestMsg*>(env.message.get())) {
-    on_request(env.from, *req);
-  } else if (auto* acc = dynamic_cast<const AcceptMsg*>(env.message.get())) {
-    on_accept(*acc);
-  } else if (auto* inf = dynamic_cast<const InformMsg*>(env.message.get())) {
-    on_inform(env.from, *inf);
-  } else if (auto* asg = dynamic_cast<const AssignMsg*>(env.message.get())) {
-    on_assign(env.from, *asg);
-  } else if (auto* ack = dynamic_cast<const AssignAckMsg*>(env.message.get())) {
-    on_assign_ack(*ack);
-  } else if (auto* ntf = dynamic_cast<const NotifyMsg*>(env.message.get())) {
-    on_notify(*ntf);
-  } else if (auto* rej = dynamic_cast<const RejectMsg*>(env.message.get())) {
-    on_reject(*rej);
-  } else if (hierarchy_on() && handle_region(env)) {
+  // Dispatch by interned type id: every wire type is final, so an id match
+  // is a type match and the static_cast is exact.
+  const sim::Message& m = *env.message;
+  const sim::MessageTypeId type = m.type_id();
+  if (type == RequestMsg::static_type()) {
+    on_request(env.from, static_cast<const RequestMsg&>(m));
+  } else if (type == AcceptMsg::static_type()) {
+    on_accept(static_cast<const AcceptMsg&>(m));
+  } else if (type == InformMsg::static_type()) {
+    on_inform(env.from, static_cast<const InformMsg&>(m));
+  } else if (type == AssignMsg::static_type()) {
+    on_assign(env.from, static_cast<const AssignMsg&>(m));
+  } else if (type == AssignAckMsg::static_type()) {
+    on_assign_ack(static_cast<const AssignAckMsg&>(m));
+  } else if (type == NotifyMsg::static_type()) {
+    on_notify(static_cast<const NotifyMsg&>(m));
+  } else if (type == RejectMsg::static_type()) {
+    on_reject(static_cast<const RejectMsg&>(m));
+  } else if (hierarchy_on() && handle_region(env.from, m, type)) {
     // dispatched by handle_region
   } else if (ctx_.config->healing.enabled) {
-    if (auto* ping = dynamic_cast<const PingMsg*>(env.message.get())) {
-      on_ping(env.from, *ping);
-    } else if (auto* pong = dynamic_cast<const PongMsg*>(env.message.get())) {
-      on_pong(*pong);
-    } else if (auto* lr = dynamic_cast<const LinkReqMsg*>(env.message.get())) {
-      on_link_req(env.from, *lr);
-    } else if (auto* la = dynamic_cast<const LinkAckMsg*>(env.message.get())) {
-      on_link_ack(*la);
+    if (type == PingMsg::static_type()) {
+      on_ping(env.from, static_cast<const PingMsg&>(m));
+    } else if (type == PongMsg::static_type()) {
+      on_pong(static_cast<const PongMsg&>(m));
+    } else if (type == LinkReqMsg::static_type()) {
+      on_link_req(env.from, static_cast<const LinkReqMsg&>(m));
+    } else if (type == LinkAckMsg::static_type()) {
+      on_link_ack(static_cast<const LinkAckMsg&>(m));
     }
   }
   // Unknown message types are ignored.
@@ -1462,19 +1466,18 @@ bool AriaNode::wide_flood(std::size_t attempt) const {
   return hierarchy_on() && every != 0 && attempt % every == 0;
 }
 
-bool AriaNode::handle_region(const sim::Envelope& env) {
-  if (auto* rl = dynamic_cast<const RegionLoadMsg*>(env.message.get())) {
-    on_region_load(*rl);
-  } else if (auto* rd =
-                 dynamic_cast<const RegionDigestMsg*>(env.message.get())) {
-    on_region_digest(*rd);
-  } else if (auto* rq =
-                 dynamic_cast<const RegionQueryMsg*>(env.message.get())) {
-    on_region_query(*rq);
-  } else if (auto* rf = dynamic_cast<const RegionFwdMsg*>(env.message.get())) {
-    on_region_fwd(*rf);
-  } else if (auto* rp = dynamic_cast<const RegionPullMsg*>(env.message.get())) {
-    on_region_pull(env.from, *rp);
+bool AriaNode::handle_region(NodeId from, const sim::Message& m,
+                             sim::MessageTypeId type) {
+  if (type == RegionLoadMsg::static_type()) {
+    on_region_load(static_cast<const RegionLoadMsg&>(m));
+  } else if (type == RegionDigestMsg::static_type()) {
+    on_region_digest(static_cast<const RegionDigestMsg&>(m));
+  } else if (type == RegionQueryMsg::static_type()) {
+    on_region_query(static_cast<const RegionQueryMsg&>(m));
+  } else if (type == RegionFwdMsg::static_type()) {
+    on_region_fwd(static_cast<const RegionFwdMsg&>(m));
+  } else if (type == RegionPullMsg::static_type()) {
+    on_region_pull(from, static_cast<const RegionPullMsg&>(m));
   } else {
     return false;
   }
@@ -1495,7 +1498,7 @@ void AriaNode::region_report_tick() {
     const NodeId cand =
         overlay::aggregator_candidate(my_region(), h.region_count, k);
     if (cand == self_) {
-      member_loads_[self_] = MemberReport{load, ctx_.sim->now()};
+      member_report(self_) = MemberReport{load, ctx_.sim->now()};
       continue;
     }
     ++counters_.load_reports;
@@ -1507,23 +1510,18 @@ void AriaNode::region_digest_tick() {
   const HierarchyParams& h = ctx_.config->hierarchy;
   // Refresh the own entry, then age out members that stopped reporting
   // (crashed or partitioned) so the digest tracks the live region.
-  member_loads_[self_] = MemberReport{member_load(), ctx_.sim->now()};
-  std::vector<std::pair<NodeId, overlay::MemberLoad>> fresh;
-  fresh.reserve(member_loads_.size());
-  for (auto it = member_loads_.begin(); it != member_loads_.end();) {
-    if (it->second.received + h.staleness <= ctx_.sim->now()) {
-      it = member_loads_.erase(it);
+  member_report(self_) = MemberReport{member_load(), ctx_.sim->now()};
+  // Slot order is id order, so the (float) backlog sum is too.
+  std::vector<overlay::MemberLoad> loads;
+  loads.reserve(member_loads_.size());
+  for (std::optional<MemberReport>& report : member_loads_) {
+    if (!report) continue;
+    if (report->received + h.staleness <= ctx_.sim->now()) {
+      report.reset();
     } else {
-      fresh.emplace_back(it->first, it->second.load);
-      ++it;
+      loads.push_back(report->load);
     }
   }
-  // Id order, so the (float) backlog sum never depends on hash-map history.
-  std::sort(fresh.begin(), fresh.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<overlay::MemberLoad> loads;
-  loads.reserve(fresh.size());
-  for (const auto& [n, l] : fresh) loads.push_back(l);
   overlay::RegionDigest digest =
       overlay::aggregate_loads(my_region(), ++digest_epoch_, loads);
   if (adv_is(sim::FaultConfig::Adversary::Role::kPoison)) {
@@ -1561,8 +1559,17 @@ void AriaNode::region_digest_tick() {
   }
 }
 
+std::optional<AriaNode::MemberReport>& AriaNode::member_report(NodeId member) {
+  // Only this region's members report here, and they share id mod R.
+  assert(overlay::region_of(member, ctx_.config->hierarchy.region_count) ==
+         my_region());
+  const std::size_t slot = member.index() / ctx_.config->hierarchy.region_count;
+  if (slot >= member_loads_.size()) member_loads_.resize(slot + 1);
+  return member_loads_[slot];
+}
+
 void AriaNode::on_region_load(const RegionLoadMsg& msg) {
-  member_loads_[msg.from] = MemberReport{msg.load, ctx_.sim->now()};
+  member_report(msg.from) = MemberReport{msg.load, ctx_.sim->now()};
   agg_cold_ = false;  // first fresh report ends a cold-restart warm-up early
 }
 

@@ -350,8 +350,9 @@ class AriaNode {
 
   // --- hierarchy plane (docs/hierarchy.md) --------------------------------
   bool hierarchy_on() const { return ctx_.config->hierarchy.enabled; }
-  /// Dispatches REGION_* messages; false if `env` is not one of them.
-  bool handle_region(const sim::Envelope& env);
+  /// Dispatches REGION_* messages; false if `type` is not one of them.
+  bool handle_region(NodeId from, const sim::Message& m,
+                     sim::MessageTypeId type);
   /// Region-scoped flood target pick when the plane is on; the plain
   /// pick_targets otherwise (identical RNG draws to pre-plane code).
   /// `wide` drops the region filter for scope-widened REQUEST floods.
@@ -550,7 +551,11 @@ class AriaNode {
     overlay::RegionDigest digest;
     TimePoint received{};
   };
-  std::unordered_map<NodeId, MemberReport> member_loads_;
+  /// Member reports by slot id / R: members of one region share id mod R,
+  /// so slots are in id order (the digest's float sum relies on it).
+  std::vector<std::optional<MemberReport>> member_loads_;
+  /// `member`'s slot in member_loads_, grown on first use.
+  std::optional<MemberReport>& member_report(NodeId member);
   std::unordered_map<std::uint32_t, DigestEntry> digest_table_;
   sim::EventHandle report_timer_;
   sim::EventHandle digest_timer_;

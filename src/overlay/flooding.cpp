@@ -11,12 +11,17 @@ bool FloodRelay::mark_seen(NodeId node, const Uuid& id, TimePoint now) {
     it->second.first_seen = now;
     if (!ttl_.is_zero()) expiry_.emplace_back(now, id);
   }
-  return it->second.nodes.insert(node).second;
+  std::vector<bool>& seen = it->second.nodes;
+  if (node.index() >= seen.size()) seen.resize(node.index() + 1);
+  if (seen[node.index()]) return false;
+  seen[node.index()] = true;
+  return true;
 }
 
 bool FloodRelay::has_seen(NodeId node, const Uuid& id) const {
-  auto it = seen_.find(id);
-  return it != seen_.end() && it->second.nodes.contains(node);
+  const auto it = seen_.find(id);
+  return it != seen_.end() && node.index() < it->second.nodes.size() &&
+         it->second.nodes[node.index()];
 }
 
 void FloodRelay::sweep(TimePoint now) {

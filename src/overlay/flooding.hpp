@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -30,7 +29,7 @@ namespace aria::overlay {
 
 class FloodRelay {
  public:
-  FloodRelay(const Topology& topo, Rng rng) : topo_{&topo}, rng_{rng} {}
+  FloodRelay(const Topology& topo, Rng rng) : topo_{&topo}, node_rng_{rng} {}
 
   /// Records that `node` has seen flood `id` at sim time `now`. Returns true
   /// the first time (i.e., the node should process/relay), false on
@@ -70,28 +69,23 @@ class FloodRelay {
   std::size_t tracked_floods() const { return seen_.size(); }
 
  private:
+  /// One flood's dedup state: bit i is set once node i has seen it; the
+  /// bitset grows to the highest id that saw the flood.
   struct Entry {
-    std::unordered_set<NodeId> nodes;
+    std::vector<bool> nodes;
     TimePoint first_seen{TimePoint::origin()};
   };
 
   void sweep(TimePoint now);
 
-  /// Target picks draw from a per-relaying-node stream (rng_ forked on the
-  /// node id, cached lazily) — the PDES determinism-contract rule
+  /// Target picks draw from a per-relaying-node stream (the constructor's
+  /// rng forked on the node id) — the PDES determinism-contract rule
   /// (docs/pdes.md): each node's pick sequence must depend only on its own
   /// relay order, which is identical under sequential and sharded execution.
-  Rng& pick_rng(NodeId node) {
-    auto it = node_rng_.find(node);
-    if (it == node_rng_.end()) {
-      it = node_rng_.emplace(node, rng_.fork(node.value())).first;
-    }
-    return it->second;
-  }
+  Rng& pick_rng(NodeId node) { return node_rng_.at(node.value()); }
 
   const Topology* topo_;
-  Rng rng_;
-  std::unordered_map<NodeId, Rng> node_rng_;
+  ForkTable node_rng_;
   Duration ttl_{Duration::zero()};
   std::unordered_map<Uuid, Entry> seen_;
   // (first_seen, id) in insertion order; a stale record whose first_seen no

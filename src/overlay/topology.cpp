@@ -1,6 +1,7 @@
 #include "overlay/topology.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace aria::overlay {
 
@@ -165,17 +166,101 @@ bool Topology::connected_among(
 
 double Topology::average_path_length() const {
   if (node_count_ < 2) return 0.0;
+  // Relabel the present nodes in BFS order, one BFS per component, into a
+  // compact CSR. Neighbours get nearby labels, so each run of 64 labels is
+  // a tight cluster of sources whose distances to any node differ by little.
+  std::vector<std::uint32_t> label(present_.size(), kUnvisited);
+  std::vector<NodeId> order;
+  order.reserve(node_count_);
+  for (std::size_t i = 0; i < present_.size(); ++i) {
+    if (!present_[i] || label[i] != kUnvisited) continue;
+    label[i] = static_cast<std::uint32_t>(order.size());
+    order.push_back(NodeId{static_cast<std::uint32_t>(i)});
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      for (NodeId v : adj_[order[head].index()]) {
+        if (label[v.index()] != kUnvisited) continue;
+        label[v.index()] = static_cast<std::uint32_t>(order.size());
+        order.push_back(v);
+      }
+    }
+  }
+  const auto n = static_cast<std::uint32_t>(order.size());
+  std::vector<std::uint32_t> offset(n + 1, 0);
+  std::vector<std::uint32_t> nbr;
+  nbr.reserve(2 * links_);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (NodeId v : adj_[order[u].index()]) nbr.push_back(label[v.index()]);
+    offset[u + 1] = static_cast<std::uint32_t>(nbr.size());
+  }
+
+  // Bit-parallel BFS: one pass runs 64 sources at once, bit j of a node's
+  // masks standing for source base + j. A node's next-level bits are the
+  // union of its neighbours' frontier bits it has not seen yet, and each
+  // newly reached (source, node) pair adds its level to an integer total,
+  // so the mean is exactly the one a BFS per source computes, whatever the
+  // labels. Only nodes that can gain are scanned: a node joins the scan
+  // list once a neighbour is first reached, and leaves it one level after
+  // it has seen every source of the pass (its last frontier bits read).
   std::uint64_t total = 0;
   std::uint64_t pairs = 0;
-  std::vector<std::uint32_t> dist;
-  std::vector<NodeId> queue;
-  for (std::size_t i = 0; i < present_.size(); ++i) {
-    if (!present_[i]) continue;
-    bfs_all(NodeId{static_cast<std::uint32_t>(i)}, dist, queue);
-    for (NodeId v : queue) {
-      total += dist[v.index()];
+  std::vector<std::uint64_t> seen(n, 0);
+  std::vector<std::uint64_t> frontier(n, 0);
+  std::vector<std::uint64_t> next(n, 0);
+  std::vector<std::uint8_t> listed(n, 0);
+  std::vector<std::uint32_t> scan;
+  std::vector<std::uint32_t> woken;
+  const auto wake_neighbours = [&](std::uint32_t u) {
+    for (std::uint32_t e = offset[u]; e < offset[u + 1]; ++e) {
+      const std::uint32_t v = nbr[e];
+      if (listed[v] != 0) continue;
+      listed[v] = 1;
+      woken.push_back(v);
     }
-    pairs += queue.size() - 1;  // exclude the source itself
+  };
+  for (std::uint32_t base = 0; base < n; base += 64) {
+    const std::uint32_t width = std::min<std::uint32_t>(64, n - base);
+    const std::uint64_t all = width == 64 ? ~0ull : (1ull << width) - 1;
+    std::fill(seen.begin(), seen.end(), 0);
+    std::fill(listed.begin(), listed.end(), 0);
+    scan.clear();
+    for (std::uint32_t j = 0; j < width; ++j) {
+      seen[base + j] = frontier[base + j] = 1ull << j;
+      listed[base + j] = 1;
+      woken.push_back(base + j);
+    }
+    for (std::uint32_t j = 0; j < width; ++j) wake_neighbours(base + j);
+    for (std::uint64_t level = 1;; ++level) {
+      scan.insert(scan.end(), woken.begin(), woken.end());
+      woken.clear();
+      std::uint64_t reached = 0;
+      for (const std::uint32_t v : scan) {
+        const std::uint64_t unseen = all & ~seen[v];
+        std::uint64_t bits = 0;
+        if (unseen != 0) {
+          for (std::uint32_t e = offset[v]; e < offset[v + 1]; ++e) {
+            bits |= frontier[nbr[e]];
+          }
+          bits &= unseen;
+          if (bits != 0) {
+            seen[v] |= bits;
+            reached += static_cast<std::uint64_t>(std::popcount(bits));
+          }
+        }
+        next[v] = bits;
+      }
+      if (reached == 0) break;
+      total += reached * level;
+      pairs += reached;
+      std::size_t kept = 0;
+      for (const std::uint32_t v : scan) {
+        const std::uint64_t bits = next[v];
+        frontier[v] = bits;
+        if (bits != 0 && seen[v] == bits) wake_neighbours(v);  // first reach
+        if (bits != 0 || seen[v] != all) scan[kept++] = v;
+      }
+      scan.resize(kept);
+    }
+    for (const std::uint32_t v : scan) frontier[v] = 0;
   }
   if (pairs == 0) return 0.0;
   return static_cast<double>(total) / static_cast<double>(pairs);

@@ -17,7 +17,9 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-FaultPlane::FaultPlane(FaultConfig config) : config_{std::move(config)} {
+FaultPlane::FaultPlane(FaultConfig config)
+    : config_{std::move(config)},
+      verdict_rng_{Rng{config_.seed}.fork(0xFA17u)} {
   // Resolve the message-class bias table to interned ids once. Interning
   // here is idempotent with the function-local statics the message structs
   // use — a name biased before its first wire appearance still lands on the
@@ -105,16 +107,6 @@ std::pair<double, double> FaultPlane::biased_rates(MessageTypeId type) const {
     dup = std::min(1.0, dup * dup_mult);
   }
   return {loss, dup};
-}
-
-Rng& FaultPlane::verdict_rng(NodeId from) {
-  auto it = verdict_rng_.find(from);
-  if (it == verdict_rng_.end()) {
-    it = verdict_rng_
-             .emplace(from, Rng{config_.seed}.fork(0xFA17u).fork(from.value()))
-             .first;
-  }
-  return it->second;
 }
 
 FaultPlane::Verdict FaultPlane::on_send(NodeId from, NodeId to,

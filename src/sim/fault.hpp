@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -260,18 +259,19 @@ class FaultPlane {
   void absorb_counters(const Counters& other) { counters_.absorb(other); }
 
  private:
-  /// Message-fault verdicts draw from a per-sender stream (cached lazily),
+  /// Message-fault verdicts draw from a per-sender stream (forked on first
+  /// use into a NodeId-indexed table),
   /// not one shared stream — the same PDES determinism-contract rule as
   /// Network's jitter streams (docs/pdes.md): each sender's verdict sequence
   /// must be a function of its own send order, not the global interleaving.
   /// The double fork (0xFA17, then the node id) keeps every per-sender
   /// stream disjoint from churn_rng()/targeted_rng() even when node ids
   /// collide with those tags' values.
-  Rng& verdict_rng(NodeId from);
+  Rng& verdict_rng(NodeId from) { return verdict_rng_.at(from.value()); }
 
   FaultConfig config_;
   Counters counters_;
-  std::unordered_map<NodeId, Rng> verdict_rng_;
+  ForkTable verdict_rng_;
   /// (loss_mult, dup_mult) per interned message-type index; types beyond
   /// the vector (or interned later without a bias entry) are unbiased.
   std::vector<std::pair<double, double>> bias_;

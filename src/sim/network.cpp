@@ -27,14 +27,14 @@ void Network::schedule_delivery_at(NodeId from, NodeId to, MessageTypeId type,
   sim_.schedule_at_keyed(
       deliver_at, key,
       [this, from, to, type, msg = std::move(message)]() mutable {
-        auto it = nodes_.find(to);
-        if (it == nodes_.end() || !it->second.up) {
+        const NodeState* node = state(to);
+        if (node == nullptr || !node->up) {
           ++dropped_;
           traffic_.record_drop(type);
           return;
         }
         ++delivered_;
-        it->second.handler(Envelope{from, to, std::move(msg)});
+        (*node->handler)(Envelope{from, to, std::move(msg)});
       });
 }
 

@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -158,7 +157,7 @@ class Network {
   using Handler = std::function<void(Envelope)>;
 
   Network(Simulator& sim, std::unique_ptr<LatencyModel> latency, Rng rng)
-      : sim_{sim}, latency_{std::move(latency)}, base_rng_{rng} {
+      : sim_{sim}, latency_{std::move(latency)}, sender_rng_{rng} {
     assert(latency_);
   }
 
@@ -168,21 +167,24 @@ class Network {
   /// Attaches a node; replaces any previous handler for the same id.
   void attach(NodeId node, Handler handler) {
     assert(node.valid() && handler);
-    nodes_[node] = NodeState{std::move(handler), /*up=*/true};
+    if (node.index() >= nodes_.size()) nodes_.resize(node.index() + 1);
+    nodes_[node.index()] =
+        NodeState{std::make_unique<Handler>(std::move(handler)), /*up=*/true};
   }
 
-  void detach(NodeId node) { nodes_.erase(node); }
+  void detach(NodeId node) {
+    if (NodeState* s = state(node)) *s = NodeState{};
+  }
 
   /// Simulates a crash/recovery: down nodes silently drop incoming traffic.
   void set_up(NodeId node, bool up) {
-    auto it = nodes_.find(node);
-    if (it != nodes_.end()) it->second.up = up;
+    if (NodeState* s = state(node)) s->up = up;
   }
 
-  bool is_attached(NodeId node) const { return nodes_.contains(node); }
+  bool is_attached(NodeId node) const { return state(node) != nullptr; }
   bool is_up(NodeId node) const {
-    auto it = nodes_.find(node);
-    return it != nodes_.end() && it->second.up;
+    const NodeState* s = state(node);
+    return s != nullptr && s->up;
   }
 
   /// Sends `message` from `from` to `to`; delivery happens after the
@@ -265,10 +267,22 @@ class Network {
   std::uint64_t duplicated_messages() const { return duplicated_; }
 
  private:
+  /// A detached slot has no handler. The handler lives on the heap so a
+  /// delivery that attaches a node past the table's end (grid expansion
+  /// from inside a handler) cannot move the handler it is running.
   struct NodeState {
-    Handler handler;
-    bool up{true};
+    std::unique_ptr<Handler> handler;
+    bool up{false};
   };
+
+  NodeState* state(NodeId node) {
+    return node.index() < nodes_.size() && nodes_[node.index()].handler
+               ? &nodes_[node.index()]
+               : nullptr;
+  }
+  const NodeState* state(NodeId node) const {
+    return const_cast<Network*>(this)->state(node);
+  }
 
   void schedule_delivery(NodeId from, NodeId to, MessageTypeId type,
                          Duration delay, std::unique_ptr<Message> message);
@@ -285,23 +299,20 @@ class Network {
   /// keeps every delivery key above 0, the key timers and engine events
   /// schedule with.
   std::uint64_t next_delivery_key(NodeId from) {
+    if (from.index() >= delivery_seq_.size()) {
+      delivery_seq_.resize(from.index() + 1, 0);
+    }
     return ((static_cast<std::uint64_t>(from.value()) + 1) << 32) |
-           (delivery_seq_[from]++ & 0xFFFFFFFFull);
+           (delivery_seq_[from.index()]++ & 0xFFFFFFFFull);
   }
 
-  /// Latency jitter is drawn from a per-sender stream (base_rng_ forked on
-  /// the sender id, cached lazily) rather than one shared stream. This is a
+  /// Latency jitter is drawn from a per-sender stream (the constructor's
+  /// rng forked on the sender id) rather than one shared stream. This is a
   /// pillar of the PDES determinism contract (docs/pdes.md): the draw
   /// sequence a sender sees is then a function of that sender's own send
   /// order only, which is identical under sequential and sharded execution —
   /// a shared stream would depend on the global interleaving of all senders.
-  Rng& jitter_rng(NodeId from) {
-    auto it = sender_rng_.find(from);
-    if (it == sender_rng_.end()) {
-      it = sender_rng_.emplace(from, base_rng_.fork(from.value())).first;
-    }
-    return it->second;
-  }
+  Rng& jitter_rng(NodeId from) { return sender_rng_.at(from.value()); }
 
   /// Sampling gate + forward to the tap; called only when tap_ != nullptr.
   void tap_message(NodeId from, NodeId to, const Message& message,
@@ -312,16 +323,17 @@ class Network {
 
   Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
-  Rng base_rng_;
-  std::unordered_map<NodeId, Rng> sender_rng_;
-  std::unordered_map<NodeId, std::uint64_t> delivery_seq_;
+  // Per-node tables indexed by NodeId value, grown on first use (ids are
+  // dense, so a table holds at most one slot per grid node).
+  ForkTable sender_rng_;
+  std::vector<std::uint64_t> delivery_seq_;
   TrafficLedger traffic_;
   FaultPlane* faults_{nullptr};
   RemoteRoute* remote_{nullptr};
   MessageTap* tap_{nullptr};
   std::uint64_t tap_every_{1};
   std::uint64_t tap_counter_{0};
-  std::unordered_map<NodeId, NodeState> nodes_;
+  std::vector<NodeState> nodes_;
   std::size_t region_count_{0};
   std::uint64_t intra_region_messages_{0};
   std::uint64_t cross_region_messages_{0};

@@ -51,6 +51,24 @@ TEST(Rng, ForkIsDeterministic) {
   for (int i = 0; i < 100; ++i) ASSERT_EQ(c1.next_u64(), c2.next_u64());
 }
 
+TEST(Rng, ForkTableSlotIsTheParentsForkInAnyFillOrder) {
+  // Slot i is parent.fork(i) whichever slots were filled first, so the
+  // order in which per-node streams are first used cannot change them.
+  const Rng parent{99};
+  ForkTable ascending{parent};
+  ForkTable descending{parent};
+  for (const std::uint32_t i : {1u, 5u, 200u}) ascending.at(i);
+  for (const std::uint32_t i : {200u, 5u, 1u}) descending.at(i);
+  for (const std::uint32_t i : {1u, 5u, 200u}) {
+    Rng expected = Rng{parent}.fork(i);
+    for (int k = 0; k < 10; ++k) {
+      const std::uint64_t want = expected.next_u64();
+      EXPECT_EQ(ascending.at(i).next_u64(), want) << i;
+      EXPECT_EQ(descending.at(i).next_u64(), want) << i;
+    }
+  }
+}
+
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng r{5};
   for (int i = 0; i < 10000; ++i) {

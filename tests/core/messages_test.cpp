@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.hpp"
 #include "core/gossip.hpp"
+#include "test_grid.hpp"
 
 namespace aria::proto {
 namespace {
@@ -103,6 +106,7 @@ TEST(Messages, PolymorphicDispatchThroughBasePointer) {
     std::unique_ptr<sim::Message> message;
     const char* type;
     std::size_t bytes;
+    sim::MessageTypeId id;  // the type's static_type()
   };
   const grid::JobSpec job = sample_job(rng);
   const JobId id = job.id;
@@ -110,47 +114,57 @@ TEST(Messages, PolymorphicDispatchThroughBasePointer) {
   const overlay::RegionDigest digest{1, 2, 3, 1, 4.0, 5};
   std::vector<Row> rows;
   rows.push_back({std::make_unique<RequestMsg>(n, job, FloodMeta{}),
-                  kRequestType, kRequestWireBytes});
+                  kRequestType, kRequestWireBytes, RequestMsg::static_type()});
   rows.push_back({std::make_unique<AcceptMsg>(n, id, 1.0), kAcceptType,
-                  kAcceptWireBytes});
+                  kAcceptWireBytes, AcceptMsg::static_type()});
   rows.push_back({std::make_unique<InformMsg>(n, job, 1.0, FloodMeta{}),
-                  kInformType, kInformWireBytes});
-  rows.push_back(
-      {std::make_unique<AssignMsg>(n, job), kAssignType, kAssignWireBytes});
+                  kInformType, kInformWireBytes, InformMsg::static_type()});
+  rows.push_back({std::make_unique<AssignMsg>(n, job), kAssignType,
+                  kAssignWireBytes, AssignMsg::static_type()});
   rows.push_back(
       {std::make_unique<NotifyMsg>(NotifyMsg::Kind::kQueued, id, n),
-       kNotifyType, kNotifyWireBytes});
+       kNotifyType, kNotifyWireBytes, NotifyMsg::static_type()});
   rows.push_back({std::make_unique<AssignAckMsg>(n, id, Uuid::generate(rng)),
-                  kAssignAckType, kAssignAckWireBytes});
+                  kAssignAckType, kAssignAckWireBytes,
+                  AssignAckMsg::static_type()});
   rows.push_back(
       {std::make_unique<RejectMsg>(n, job, n, false, Uuid::generate(rng)),
-       kRejectType, kRejectWireBytes});
-  rows.push_back(
-      {std::make_unique<PingMsg>(n, 1u), kPingType, kPingWireBytes});
+       kRejectType, kRejectWireBytes, RejectMsg::static_type()});
+  rows.push_back({std::make_unique<PingMsg>(n, 1u), kPingType,
+                  kPingWireBytes, PingMsg::static_type()});
   rows.push_back({std::make_unique<PongMsg>(n, 1u, std::vector<NodeId>{n}),
-                  kPongType, kPongWireBytes});
-  rows.push_back(
-      {std::make_unique<LinkReqMsg>(n), kLinkReqType, kLinkReqWireBytes});
+                  kPongType, kPongWireBytes, PongMsg::static_type()});
+  rows.push_back({std::make_unique<LinkReqMsg>(n), kLinkReqType,
+                  kLinkReqWireBytes, LinkReqMsg::static_type()});
   rows.push_back({std::make_unique<LinkAckMsg>(n, std::vector<NodeId>{n}),
-                  kLinkAckType, kLinkAckWireBytes});
+                  kLinkAckType, kLinkAckWireBytes, LinkAckMsg::static_type()});
   rows.push_back(
       {std::make_unique<RegionLoadMsg>(n, overlay::MemberLoad{true, 2.0, 1}),
-       kRegionLoadType, kRegionLoadWireBytes});
+       kRegionLoadType, kRegionLoadWireBytes, RegionLoadMsg::static_type()});
   rows.push_back({std::make_unique<RegionDigestMsg>(n, digest),
-                  kRegionDigestType, kRegionDigestWireBytes});
+                  kRegionDigestType, kRegionDigestWireBytes,
+                  RegionDigestMsg::static_type()});
   rows.push_back({std::make_unique<RegionQueryMsg>(n, job, 2u),
-                  kRegionQueryType, kRegionQueryWireBytes});
+                  kRegionQueryType, kRegionQueryWireBytes,
+                  RegionQueryMsg::static_type()});
   rows.push_back({std::make_unique<RegionFwdMsg>(n, job, 2u), kRegionFwdType,
-                  kRegionFwdWireBytes});
+                  kRegionFwdWireBytes, RegionFwdMsg::static_type()});
   rows.push_back({std::make_unique<RegionPullMsg>(n, FloodMeta{}),
-                  kRegionPullType, kRegionPullWireBytes});
+                  kRegionPullType, kRegionPullWireBytes,
+                  RegionPullMsg::static_type()});
   // GOSSIP meters a header plus a per-summary increment.
   rows.push_back({std::make_unique<GossipMsg>(std::vector<NodeSummary>(2)),
                   kGossipType,
-                  kGossipHeaderWireBytes + 2 * kGossipSummaryWireBytes});
+                  kGossipHeaderWireBytes + 2 * kGossipSummaryWireBytes,
+                  GossipMsg::static_type()});
   ASSERT_EQ(rows.size(), 17u);
+  // Nodes dispatch on type_id(): exact only while every type has its own id.
+  std::set<std::size_t> ids;
+  for (const Row& row : rows) ids.insert(row.id.index());
+  EXPECT_EQ(ids.size(), rows.size());
   for (const Row& row : rows) {
     const sim::Message& msg = *row.message;
+    EXPECT_EQ(msg.type_id(), row.id) << row.type;
     EXPECT_EQ(msg.type_name(), row.type);
     EXPECT_EQ(msg.wire_size(), row.bytes) << row.type;
     const std::unique_ptr<sim::Message> copy = msg.clone();
@@ -159,6 +173,36 @@ TEST(Messages, PolymorphicDispatchThroughBasePointer) {
     EXPECT_EQ(copy->wire_size(), msg.wire_size()) << row.type;
     EXPECT_EQ(copy->flood_hops_left(), msg.flood_hops_left()) << row.type;
   }
+}
+
+TEST(Messages, NodeIgnoresPlaneMessagesWhileThePlaneIsOff) {
+  // A REGION_* message with the hierarchy off and a PING with healing off
+  // reach the node's dispatch and are dropped there; switching each plane
+  // on shows the same messages would have been handled.
+  test::TestGrid g;
+  g.add_node(sched::SchedulerKind::kFcfs);
+  g.add_node(sched::SchedulerKind::kFcfs);
+  g.connect_all();
+  ASSERT_FALSE(g.config.hierarchy.enabled);
+  ASSERT_FALSE(g.config.healing.enabled);
+  const NodeId from{1};
+  const NodeId to{0};
+  const overlay::RegionDigest digest{0, 1, 1, 1, 0.0, 0};
+  const auto deliver_both = [&] {
+    g.net().send(from, to, std::make_unique<RegionDigestMsg>(from, digest));
+    g.net().send(from, to, std::make_unique<PingMsg>(from, 1u));
+    g.run_for(1_s);
+  };
+  deliver_both();
+  EXPECT_EQ(g.net().delivered_messages(), 2u);
+  EXPECT_EQ(g.node(0).counters().digests_received, 0u);
+  EXPECT_EQ(g.net().traffic().of(kPongType).messages, 0u);
+
+  g.config.hierarchy.enabled = true;
+  g.config.healing.enabled = true;
+  deliver_both();
+  EXPECT_EQ(g.node(0).counters().digests_received, 1u);
+  EXPECT_EQ(g.net().traffic().of(kPongType).messages, 1u);
 }
 
 TEST(Messages, FloodMetaDefaults) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace aria::overlay {
 namespace {
@@ -137,6 +141,79 @@ TEST(Topology, AveragePathLengthOnCompleteGraph) {
   }
   EXPECT_DOUBLE_EQ(t.average_path_length(), 1.0);
   EXPECT_DOUBLE_EQ(t.average_degree(), 4.0);
+}
+
+/// The per-source definition average_path_length() must equal bit for bit:
+/// the mean of distance() over every reachable ordered pair.
+double reference_path_length(const Topology& t) {
+  std::uint64_t total = 0;
+  std::uint64_t pairs = 0;
+  const std::vector<NodeId> ids = t.nodes();
+  for (NodeId a : ids) {
+    for (NodeId b : ids) {
+      if (a == b) continue;
+      if (const auto d = t.distance(a, b)) {
+        total += *d;
+        ++pairs;
+      }
+    }
+  }
+  return pairs == 0 ? 0.0
+                    : static_cast<double>(total) / static_cast<double>(pairs);
+}
+
+/// A seeded random overlay of exactly `size` nodes split into `components`
+/// parts (links only inside a part), with id holes left by remove_node, a
+/// few nodes left unlinked, and one isolated node past a gap of absent ids.
+Topology random_overlay(std::uint32_t size, std::uint32_t components,
+                        std::uint64_t seed) {
+  Rng rng{seed};
+  Topology t;
+  const std::uint32_t holes = size / 8 + 1;
+  const std::uint32_t span = size + holes;
+  for (std::uint32_t i = 0; i < span; ++i) t.add_node(n(i));
+  for (std::uint32_t i = 1; i < span; ++i) {
+    const auto j = static_cast<std::uint32_t>(rng.uniform_int(0, i - 1));
+    if (j % components == i % components && rng.bernoulli(0.9)) {
+      t.add_link(n(i), n(j));
+    }
+  }
+  for (std::uint32_t k = 0; k < span; ++k) {
+    const auto a = static_cast<std::uint32_t>(rng.uniform_int(0, span - 1));
+    const auto b = static_cast<std::uint32_t>(rng.uniform_int(0, span - 1));
+    if (a % components == b % components) t.add_link(n(a), n(b));
+  }
+  while (t.node_count() > size - 1) {
+    t.remove_node(n(static_cast<std::uint32_t>(rng.uniform_int(0, span - 1))));
+  }
+  t.add_node(n(span + 3));
+  return t;
+}
+
+TEST(Topology, AveragePathLengthEqualsAllPairsDistanceMean) {
+  // Sizes straddle the 64-source batches of the bit-parallel BFS.
+  for (const std::uint32_t size : {1u, 2u, 63u, 64u, 65u, 129u, 300u}) {
+    for (const std::uint32_t components : {1u, 2u}) {
+      for (const std::uint64_t seed : {11u, 12u}) {
+        const Topology t = random_overlay(size, components, seed);
+        ASSERT_EQ(t.node_count(), size);
+        EXPECT_EQ(t.average_path_length(), reference_path_length(t))
+            << "size " << size << ", components " << components << ", seed "
+            << seed;
+      }
+    }
+  }
+}
+
+TEST(Topology, AveragePathLengthSkipsUnreachablePairs) {
+  // Two paths 0-1-2 and 10-11 plus an isolated 20: 6 + 2 ordered pairs,
+  // distances 1,2,1,1,2,1 and 1,1 -> 10/8.
+  Topology t;
+  t.add_link(n(0), n(1));
+  t.add_link(n(1), n(2));
+  t.add_link(n(10), n(11));
+  t.add_node(n(20));
+  EXPECT_EQ(t.average_path_length(), 1.25);
 }
 
 TEST(Topology, NodesReturnsSortedIds) {

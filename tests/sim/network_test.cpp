@@ -48,6 +48,33 @@ TEST_F(NetworkTest, DeliversToAttachedHandler) {
   EXPECT_EQ(received, (std::vector<int>{42}));
 }
 
+TEST_F(NetworkTest, AttachPastTheTableEndFromInsideADelivery) {
+  // Grid expansion attaches nodes from inside a delivery. The per-node table
+  // grows then, and the running handler must survive it: it reads its
+  // capture after the attach (one pointer, so std::function keeps it
+  // inline), and a later delivery must reach the new node.
+  struct State {
+    Network* net;
+    std::vector<int> log;
+    int late{0};
+  } state{&net_, {}, 0};
+  const NodeId grown{5000};
+  net_.attach(NodeId{2}, [s = &state, grown](Envelope env) {
+    const int payload = dynamic_cast<const TestMsg&>(*env.message).payload;
+    s->net->attach(grown, [s](Envelope) { ++s->late; });
+    s->log.push_back(payload);
+    s->net->send(NodeId{2}, grown, std::make_unique<TestMsg>(payload + 1));
+  });
+  net_.send(NodeId{1}, NodeId{2}, std::make_unique<TestMsg>(7));
+  sim_.run();
+  EXPECT_EQ(state.log, (std::vector<int>{7}));
+  EXPECT_EQ(state.late, 1);
+  EXPECT_TRUE(net_.is_attached(grown));
+  EXPECT_FALSE(net_.is_attached(NodeId{4999}));
+  EXPECT_EQ(net_.delivered_messages(), 2u);
+  EXPECT_EQ(net_.dropped_messages(), 0u);
+}
+
 TEST_F(NetworkTest, DeliveryTakesLatency) {
   TimePoint delivered;
   net_.attach(NodeId{2}, [&](Envelope) { delivered = sim_.now(); });
