@@ -36,7 +36,7 @@ GossipResult run_gossip(const workload::ScenarioConfig& cfg,
                    rng.fork(1)};
   Rng boot_rng = rng.fork(5);
   overlay::Topology topo = overlay::bootstrap_random(
-      cfg.node_count, cfg.bootstrap_avg_degree, boot_rng);
+      cfg.node_count, workload::ScenarioConfig::kBootstrapAvgDegree, boot_rng);
 
   proto::GossipConfig gossip_config;
   gossip_config.gossip_period = Duration::seconds(30);

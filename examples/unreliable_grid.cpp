@@ -40,11 +40,9 @@ int main(int argc, char** argv) {
   cfg.faults.duplicate = 0.02;
   cfg.faults.spike = 0.02;
   cfg.faults.churn = sim::FaultConfig::Churn{
-      .mean_uptime = 4_h, .mean_downtime = 20_min,
-      .node_fraction = 0.25, .start = 30_min};
+      .mean_uptime = 4_h, .mean_downtime = 20_min, .start = 30_min};
   cfg.faults.partitions.push_back(
-      sim::FaultConfig::Partition{.start = 2_h, .duration = 30_min,
-                                  .fraction = 0.5});
+      sim::FaultConfig::Partition{.start = 2_h, .duration = 30_min});
   cfg.aria.failsafe = true;
   cfg.aria.assign_ack = true;
 

@@ -289,7 +289,9 @@ void AuditCollector::finish(TimePoint horizon) {
   // the job did terminate through a path the delegation raced with).
   for (const auto& [id, j] : jobs_) {
     if (!j.pending_delegation || j.terminal) continue;
-    if (*j.pending_delegation + config_.delegation_grace > horizon) continue;
+    if (*j.pending_delegation + AuditConfig::kDelegationGrace > horizon) {
+      continue;
+    }
     violate("unresolved-delegation",
             "job " + id.to_string() +
                 ": nothing happened after its cross-region delegation",

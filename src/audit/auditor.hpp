@@ -40,7 +40,7 @@ struct AuditConfig {
   std::size_t max_recorded{64};
   /// A cross-region delegation still unresolved this close to the horizon
   /// is in-flight at shutdown, not stranded — no violation.
-  Duration delegation_grace{Duration::minutes(10)};
+  static constexpr Duration kDelegationGrace = Duration::minutes(10);
 };
 
 /// Ground truth the engine hands the auditor at construction; everything

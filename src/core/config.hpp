@@ -57,14 +57,14 @@ struct OverloadParams {
   /// watermark catches long-job ones.
   Duration admission_backlog{Duration::hours(10)};
   /// Cost-aware bidding hysteresis: stop answering REQUEST/INFORM once the
-  /// backlog exceeds bid_stop * admission_backlog, resume only after it
-  /// drains below bid_resume * admission_backlog (no flapping around one
+  /// backlog exceeds kBidStop * admission_backlog, resume only after it
+  /// drains below kBidResume * admission_backlog (no flapping around one
   /// threshold).
-  double bid_stop{0.75};
-  double bid_resume{0.5};
+  static constexpr double kBidStop = 0.75;
+  static constexpr double kBidResume = 0.5;
   /// How long a shed job's INFORM burst collects offers before falling back
   /// to a discovery round on the initiator's behalf.
-  Duration shed_offer_timeout{Duration::seconds(10)};
+  static constexpr Duration kShedOfferTimeout = Duration::seconds(10);
 };
 
 /// Hierarchical discovery plane (docs/hierarchy.md): the overlay is
@@ -78,24 +78,24 @@ struct OverloadParams {
 struct HierarchyParams {
   bool enabled{false};
   /// Number of regions R. 0 = auto-size at build time so regions hold about
-  /// `target_region_size` nodes; the engine writes the resolved value back
+  /// `kTargetRegionSize` nodes; the engine writes the resolved value back
   /// here (see overlay::resolve_region_count for the clamping rules).
   std::size_t region_count{0};
-  std::size_t target_region_size{128};
+  static constexpr std::size_t kTargetRegionSize = 128;
   /// Aggregator candidates per region (rank 0 = primary, the rest warm
   /// standbys). Failover is attempt-driven: retry k addresses candidate
-  /// rank k mod agg_standby, so a dead primary costs one backoff, not a
+  /// rank k mod kAggStandby, so a dead primary costs one backoff, not a
   /// view-change protocol.
-  std::size_t agg_standby{2};
+  static constexpr std::size_t kAggStandby = 2;
   /// How often members report their load to their region's candidates.
-  Duration load_report_period{Duration::minutes(5)};
+  static constexpr Duration kLoadReportPeriod = Duration::minutes(5);
   /// How often candidates broadcast their region digest to every other
   /// region's candidates.
-  Duration digest_period{Duration::minutes(5)};
+  static constexpr Duration kDigestPeriod = Duration::minutes(5);
   /// Member reports older than this are dropped from the digest (crashed
   /// members age out); received digests older than this are ignored when
   /// picking a delegation target.
-  Duration staleness{Duration::minutes(15)};
+  static constexpr Duration kStaleness = Duration::minutes(15);
   /// Cross-region delegation also triggers on *poor* rounds, not only empty
   /// ones: when the best region-local offer would add more than this to the
   /// job's completion (cost units — ETTC seconds for batch schedulers, NAL
@@ -103,19 +103,19 @@ struct HierarchyParams {
   /// before committing. Region-scoped discovery otherwise traps jobs in hot
   /// regions, and the queue backlog re-surfaces as per-job INFORM floods —
   /// exactly the traffic the digest plane is meant to replace.
-  Duration delegate_cost_threshold{Duration::minutes(10)};
+  static constexpr Duration kDelegateCostThreshold = Duration::minutes(10);
   /// Scope widening: every Nth discovery attempt floods the REQUEST without
-  /// the region filter (0 = never widen). Digests are capability-blind —
-  /// they steer by load, not by profile — so a job whose only matching
-  /// machine hides in an unlucky region could otherwise burn every retry on
-  /// wrong regions; the periodic wide flood restores flat ARiA's guarantee
-  /// that feasible jobs are eventually discovered.
-  std::size_t wide_flood_every{4};
+  /// the region filter. Digests are capability-blind — they steer by load,
+  /// not by profile — so a job whose only matching machine hides in an
+  /// unlucky region could otherwise burn every retry on wrong regions; the
+  /// periodic wide flood restores flat ARiA's guarantee that feasible jobs
+  /// are eventually discovered.
+  static constexpr std::size_t kWideFloodEvery = 4;
   /// Intra-region average degree for bootstrap_hierarchical.
-  double intra_degree{4.0};
+  static constexpr double kIntraDegree = 4.0;
   /// Random cross-region links per region at bootstrap (resilience only;
   /// region-scoped floods never traverse them).
-  std::size_t cross_links{2};
+  static constexpr std::size_t kCrossLinks = 2;
 
   // --- chaos hardening (docs/hierarchy.md "Failure modes") ---------------
   /// Cold-restart discipline for aggregator candidates: a restarted
@@ -123,25 +123,23 @@ struct HierarchyParams {
   /// this long it solicits fresh REGION_LOADs (a region-scoped REGION_PULL
   /// flood) and hands REGION_QUERYs off to the next-rank candidate instead
   /// of answering from an empty/stale table. Warmth returns early with the
-  /// first fresh member report. Zero disables the discipline (a cold
-  /// candidate then serves whatever it has, the pre-hardening behavior).
-  /// Only the restart path consults this, so fault-free runs are untouched.
-  Duration aggregator_warmup{Duration::minutes(5)};
+  /// first fresh member report. Only the restart path consults this, so
+  /// fault-free runs are untouched.
+  static constexpr Duration kAggregatorWarmup = Duration::minutes(5);
   /// Early wide-flood escalation: after this many *consecutive* discovery
   /// rounds with zero offers (region-local flood and cross-region
   /// delegation both silent — the signature of a fully dead candidate
   /// list), the next flood widens immediately instead of waiting for the
-  /// wide_flood_every rotation. 0 disables; the CLI arms it (2) whenever
-  /// the fault plane runs alongside the hierarchy, keeping fault-free
-  /// hierarchy runs byte-identical to the unhardened plane.
-  std::size_t escalate_silent_rounds{0};
+  /// kWideFloodEvery rotation. Armed only while the fault plane runs
+  /// alongside the hierarchy (AriaNode::escalation_armed), so fault-free
+  /// hierarchy runs stay byte-identical to the unhardened plane.
+  static constexpr std::size_t kEscalateSilentRounds = 2;
   /// Backoff cap once sustained silence is detected: while a request's
-  /// consecutive silent-round count is at or past escalate_silent_rounds,
+  /// consecutive silent-round count is at or past kEscalateSilentRounds,
   /// the exponential retry backoff factor is clamped to this value, so a
   /// job facing a dead candidate list retries on a short, bounded cadence
-  /// instead of the full exponential curve. 0 = no cap. Armed with
-  /// escalate_silent_rounds.
-  std::size_t silent_backoff_factor_cap{0};
+  /// instead of the full exponential curve. Armed with the escalation.
+  static constexpr std::size_t kSilentBackoffFactorCap = 2;
 };
 
 /// Adversarial-defense plane (docs/adversary.md): a promise-vs-delivery
@@ -154,33 +152,29 @@ struct DefenseParams {
   bool enabled{false};
   /// EWMA weight of one promise-vs-delivery observation. Also the auditor's
   /// per-update movement bound (reputation-monotonicity check). 0.3 lets two
-  /// broken promises (score 1.0 -> 0.7 -> 0.49) cross the default suspicion
+  /// broken promises (score 1.0 -> 0.7 -> 0.49) cross the suspicion
   /// threshold — fast enough that a black hole is distrusted well inside the
   /// failsafe recovery budget, slow enough that one unlucky overrun is not a
   /// conviction.
-  double reputation_alpha{0.3};
+  static constexpr double kReputationAlpha = 0.3;
   /// Score assumed for nodes never observed (fresh grids are trusted).
-  double initial_reputation{1.0};
+  static constexpr double kInitialReputation = 1.0;
   /// Discount floor: bid ranking divides quoted cost by
   /// max(reputation, floor), so a zero-reputation node is penalized
   /// 1/floor-fold instead of infinitely (it may still win an empty round).
-  double reputation_floor{0.05};
+  static constexpr double kReputationFloor = 0.05;
   /// Below this score a node's offers are skipped outright and, when the
   /// healing plane runs, the offender is evicted from the flood overlay.
-  double suspicion_threshold{0.5};
+  static constexpr double kSuspicionThreshold = 0.5;
   /// Straggler deadline = assignment time + quoted cost * straggler_factor
   /// + straggler_min_overdue: how far past its own quote an assignee may run
   /// before the initiator revokes and hedges. The additive term keeps short
   /// jobs from being revoked over scheduling jitter.
   double straggler_factor{3.0};
   Duration straggler_min_overdue{Duration::minutes(10)};
-  /// Hedged re-dispatches allowed per job (0 disables hedging). The auditor
-  /// enforces this bound on the wire (hedge-budget check).
-  std::size_t hedge_budget{1};
-  /// Reject REGION_DIGESTs that violate member-report conservation (members
-  /// beyond the region population, idle > members, negative backlog) instead
-  /// of folding them into the digest table.
-  bool digest_clamp{true};
+  /// Hedged re-dispatches allowed per job. The auditor enforces this bound
+  /// on the wire (hedge-budget check).
+  static constexpr std::size_t kHedgeBudget = 1;
 };
 
 struct AriaConfig {
@@ -238,8 +232,8 @@ struct AriaConfig {
   /// recovery floods with a replay instead of a second execution, and no
   /// recovery flood can arrive once the initiator's watchdog budget is
   /// exhausted — 12 h comfortably exceeds failsafe_max_recoveries watchdog
-  /// spans plus margins. Zero = keep forever (the pre-TTL behavior).
-  Duration completion_receipt_ttl{Duration::hours(12)};
+  /// spans plus margins.
+  static constexpr Duration kCompletionReceiptTtl = Duration::hours(12);
 
   // --- acknowledged delegation (lossy-network hardening) -----------------
   /// When on, every ASSIGN carries an attempt UUID and the receiver replies
@@ -255,12 +249,9 @@ struct AriaConfig {
   std::size_t assign_max_retries{2};
   /// How long a receiver remembers acknowledged assign ids so delayed
   /// retransmissions and network duplicates stay idempotent.
-  Duration assign_dedup_gc_delay{Duration::minutes(5)};
+  static constexpr Duration kAssignDedupGcDelay = Duration::minutes(5);
 
   // --- flood mechanics --------------------------------------------------
-  /// Paper-literal: a node that satisfies a REQUEST/INFORM replies and does
-  /// not forward. Enabling this makes matching nodes forward too.
-  bool forward_on_match{false};
   /// When a flood can no longer be in flight its dedup state is dropped
   /// after this long (memory bound; must exceed hops * max latency).
   Duration flood_gc_delay{Duration::seconds(60)};

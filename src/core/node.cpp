@@ -32,8 +32,8 @@ AriaNode::AriaNode(NodeContext ctx, NodeId self, grid::NodeProfile profile,
       sched_{std::move(scheduler)},
       rng_{rng},
       vo_{std::move(virtual_org)},
-      reputation_{ctx.config->defense.reputation_alpha,
-                  ctx.config->defense.initial_reputation},
+      reputation_{DefenseParams::kReputationAlpha,
+                  DefenseParams::kInitialReputation},
       probe_rng_{plane_seed(self, kProbePlane)},
       hier_rng_{plane_seed(self, kHierarchyPlane)} {
   assert(ctx_.sim && ctx_.net && ctx_.topo && ctx_.relay && ctx_.config &&
@@ -89,24 +89,24 @@ void AriaNode::start() {
     // Probe phase comes from the probe stream: enabling healing must not
     // consume draws the protocol plane would otherwise make.
     const Duration probe_phase = probe_rng_.uniform_duration(
-        Duration::zero(), ctx_.config->healing.probe_period);
+        Duration::zero(), overlay::HealingParams::kProbePeriod);
     probe_timer_ = ctx_.sim->schedule_periodic(
-        probe_phase, ctx_.config->healing.probe_period,
+        probe_phase, overlay::HealingParams::kProbePeriod,
         [this] { probe_tick(); });
   }
   if (hierarchy_on()) {
     // Phases come from the hierarchy stream (same discipline as the probe
     // plane): enabling the hierarchy must not consume protocol draws.
-    const HierarchyParams& h = ctx_.config->hierarchy;
+    using H = HierarchyParams;
     const Duration report_phase =
-        hier_rng_.uniform_duration(Duration::zero(), h.load_report_period);
+        hier_rng_.uniform_duration(Duration::zero(), H::kLoadReportPeriod);
     report_timer_ = ctx_.sim->schedule_periodic(
-        report_phase, h.load_report_period, [this] { region_report_tick(); });
+        report_phase, H::kLoadReportPeriod, [this] { region_report_tick(); });
     if (region_aggregator()) {
       const Duration digest_phase =
-          hier_rng_.uniform_duration(Duration::zero(), h.digest_period);
+          hier_rng_.uniform_duration(Duration::zero(), H::kDigestPeriod);
       digest_timer_ = ctx_.sim->schedule_periodic(
-          digest_phase, h.digest_period, [this] { region_digest_tick(); });
+          digest_phase, H::kDigestPeriod, [this] { region_digest_tick(); });
     }
   }
 }
@@ -198,15 +198,14 @@ void AriaNode::restart() {
       ctx_.net->send(self_, c, std::make_unique<LinkReqMsg>(self_));
     }
   }
-  if (hierarchy_on() && region_aggregator() &&
-      !ctx_.config->hierarchy.aggregator_warmup.is_zero()) {
+  if (region_aggregator()) {
     // Cold-restart discipline: the crash wiped member_loads_ and
     // digest_table_, so until a fresh report arrives this candidate would
     // answer REGION_QUERYs from nothing. Mark it cold (serve_region_query
     // hands queries to the next rank meanwhile) and solicit immediate
-    // out-of-cycle reports instead of waiting a full load_report_period.
+    // out-of-cycle reports instead of waiting a full report period.
     agg_cold_ = true;
-    cold_until_ = ctx_.sim->now() + ctx_.config->hierarchy.aggregator_warmup;
+    cold_until_ = ctx_.sim->now() + HierarchyParams::kAggregatorWarmup;
     solicit_region_reports();
   }
   sync_idle_gauge();
@@ -270,11 +269,10 @@ void AriaNode::flood_request(const grid::JobSpec& spec, std::size_t attempt) {
   }
 
   bool wide = wide_flood(attempt);
-  const std::size_t escalate = ctx_.config->hierarchy.escalate_silent_rounds;
-  if (!wide && escalate > 0 && it->second.silent_rounds >= escalate) {
+  if (!wide && sustained_silence(it->second)) {
     // Sustained silence — region-local floods AND the cross-region
     // escalation path both drew nothing, the signature of a fully dead
-    // candidate list. Widen now instead of waiting for wide_flood_every.
+    // candidate list. Widen now instead of waiting for kWideFloodEvery.
     wide = true;
     ++counters_.early_wide_escalations;
   }
@@ -302,11 +300,10 @@ void AriaNode::decide_assignment(const JobId& id) {
     // fell below the threshold are dropped outright — before the empty-round
     // check, so a round carried only by distrusted bids goes into retry
     // instead of rewarding a known liar.
-    const double thr = ctx_.config->defense.suspicion_threshold;
     const auto first_bad = std::remove_if(
         pending.offers.begin(), pending.offers.end(),
-        [this, thr](const AcceptMsg& o) {
-          return reputation_.score(o.node) < thr;
+        [this](const AcceptMsg& o) {
+          return reputation_.score(o.node) < DefenseParams::kSuspicionThreshold;
         });
     counters_.offers_distrusted += static_cast<std::uint64_t>(
         std::distance(first_bad, pending.offers.end()));
@@ -331,14 +328,13 @@ void AriaNode::decide_assignment(const JobId& id) {
       send_region_query(pending.spec, pending.attempt);
     }
     Duration backoff = ctx_.config->retry.wait_after(pending.attempt);
-    const HierarchyParams& h = ctx_.config->hierarchy;
-    if (h.silent_backoff_factor_cap > 0 && h.escalate_silent_rounds > 0 &&
-        pending.silent_rounds >= h.escalate_silent_rounds) {
+    if (sustained_silence(pending)) {
       // Dead-candidate-list suspicion: clamp the exponential curve so the
       // widened retries come on a short, bounded cadence.
       backoff = std::min(
           backoff, ctx_.config->retry.backoff *
-                       static_cast<std::int64_t>(h.silent_backoff_factor_cap));
+                       static_cast<std::int64_t>(
+                           HierarchyParams::kSilentBackoffFactorCap));
     }
     ctx_.sim->schedule_after(backoff, [this, id, next_attempt] {
       auto again = pending_requests_.find(id);
@@ -370,8 +366,7 @@ void AriaNode::decide_assignment(const JobId& id) {
   // backlog re-surfaces as per-job INFORM floods. At most one extra window
   // per round, so the decision still terminates deterministically.
   if (hierarchy_on() && !pending.remote_round &&
-      best->cost >
-          ctx_.config->hierarchy.delegate_cost_threshold.to_seconds()) {
+      best->cost > HierarchyParams::kDelegateCostThreshold.to_seconds()) {
     pending.remote_round = true;
     send_region_query(pending.spec, pending.attempt);
     const JobId again = id;
@@ -659,9 +654,7 @@ void AriaNode::on_request(NodeId from, const RequestMsg& msg) {
 
   // Paper-literal forwarding rule: satisfied requests stop here. A withheld
   // bid (saturated node) still forwards, so discovery routes around it.
-  if (offer_bid(msg.job, msg.initiator) && !ctx_.config->forward_on_match) {
-    return;
-  }
+  if (offer_bid(msg.job, msg.initiator)) return;
   forward_flood(from, msg, ctx_.config->request_fanout,
                 &counters_.requests_forwarded, msg.wide);
 }
@@ -671,19 +664,17 @@ void AriaNode::on_inform(NodeId from, const InformMsg& msg) {
     return;
   }
 
-  bool replied = false;
   if (msg.assignee != self_ && can_bid(msg.job)) {
     // An underbidder's lie also lets it falsely "improve" on advertisements.
     const double cost = bid_cost(msg.job);
     // Reply only when the improvement clears the threshold (paper §III-D)
-    // and this node is not saturated.
+    // and this node is not saturated; a node that replies does not forward.
     if (cost < msg.cost - ctx_.config->reschedule_threshold.to_seconds() &&
         !withhold_bid()) {
       send_accept(msg.job.id, msg.assignee, cost);
-      replied = true;
+      return;
     }
   }
-  if (replied && !ctx_.config->forward_on_match) return;
   forward_flood(from, msg, ctx_.config->inform_fanout,
                 &counters_.informs_forwarded);
 }
@@ -963,13 +954,13 @@ double AriaNode::advertised_cost(double true_cost) {
 double AriaNode::discounted_cost(const AcceptMsg& offer) const {
   if (!defense_on()) return offer.cost;
   const double rep = std::max(reputation_.score(offer.node),
-                              ctx_.config->defense.reputation_floor);
+                              DefenseParams::kReputationFloor);
   return offer.cost / rep;
 }
 
 void AriaNode::observe_reputation(NodeId subject, double outcome) {
   if (!defense_on() || !subject.valid() || subject == self_) return;
-  const double thr = ctx_.config->defense.suspicion_threshold;
+  const double thr = DefenseParams::kSuspicionThreshold;
   const double before = reputation_.score(subject);
   const double after = reputation_.observe(subject, outcome);
   emit(event::Reputation{self_, subject, after});
@@ -1008,7 +999,7 @@ void AriaNode::straggler_expired(const JobId& id) {
   // The job is demonstrably in motion here (held, re-discovering, or being
   // re-advertised): the failsafe machinery owns it; a revoke would race.
   if (holds(id) || discovering(id) || shedding(id)) return;
-  if (w.hedges >= ctx_.config->defense.hedge_budget) return;  // budget spent
+  if (w.hedges >= DefenseParams::kHedgeBudget) return;  // budget spent
   if (!w.last_known.valid() || w.last_known == self_) return;
   if (!w.runner_up.valid() || w.runner_up == w.last_known) {
     return;  // single-offer round: nothing to hedge onto; watchdog covers
@@ -1061,7 +1052,7 @@ void AriaNode::dispatch_hedge(const JobId& id) {
   const auto it = watched_.find(id);
   if (it == watched_.end()) return;
   Watchdog& w = it->second;
-  if (w.hedges >= ctx_.config->defense.hedge_budget) return;
+  if (w.hedges >= DefenseParams::kHedgeBudget) return;
   if (!w.runner_up.valid() || w.runner_up == w.last_known) return;
   if (holds(id) || discovering(id)) {
     return;  // the job found (or is finding) a home since the revoke opened
@@ -1118,11 +1109,11 @@ void AriaNode::handle_revoke(const NotifyMsg& msg) {
 }
 
 void AriaNode::sweep_completion_receipts() {
-  const Duration ttl = ctx_.config->completion_receipt_ttl;
-  if (ttl.is_zero() || completed_here_.empty()) return;
+  if (completed_here_.empty()) return;
   const TimePoint now = ctx_.sim->now();
-  std::erase_if(completed_here_,
-                [&](const auto& receipt) { return receipt.second + ttl <= now; });
+  std::erase_if(completed_here_, [&](const auto& receipt) {
+    return receipt.second + AriaConfig::kCompletionReceiptTtl <= now;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1235,13 +1226,13 @@ bool AriaNode::withhold_bid() {
   // full nodes forever). Sheds stay reachable through the genuine race —
   // two delegators assigning into the same last slot.
   if (!sched_->at_capacity()) {
-    const OverloadParams& ov = ctx_.config->overload;
+    const Duration watermark = ctx_.config->overload.admission_backlog;
     const Duration backlog = backlog_duration();
     if (bids_suppressed_) {
-      if (backlog <= ov.admission_backlog.scaled(ov.bid_resume)) {
+      if (backlog <= watermark.scaled(OverloadParams::kBidResume)) {
         bids_suppressed_ = false;  // drained enough: resume bidding
       }
-    } else if (backlog >= ov.admission_backlog.scaled(ov.bid_stop)) {
+    } else if (backlog >= watermark.scaled(OverloadParams::kBidStop)) {
       bids_suppressed_ = true;  // saturating: stop attracting work
     }
     if (!bids_suppressed_) return false;
@@ -1298,7 +1289,7 @@ void AriaNode::shed_job(sched::QueuedJob&& victim) {
 
   ShedJob shed{std::move(victim.spec), initiator, {}};
   shed.timer = ctx_.sim->schedule_after(
-      ctx_.config->overload.shed_offer_timeout,
+      OverloadParams::kShedOfferTimeout,
       [this, id] { shed_offer_expired(id); });
   shed_jobs_[id] = std::move(shed);
   sync_idle_gauge();
@@ -1321,7 +1312,6 @@ void AriaNode::shed_offer_expired(const JobId& id) {
 // ---------------------------------------------------------------------------
 
 void AriaNode::probe_tick() {
-  const overlay::HealingParams& hp = ctx_.config->healing;
   ++view_.stats().probe_rounds;
 
   // Re-sync against the overlay: the ant-based maintainer (and the repair
@@ -1337,7 +1327,7 @@ void AriaNode::probe_tick() {
   for (NodeId peer : view_.tracked_peers()) {
     if (view_.outstanding(peer)) {
       // The previous round's probe went unanswered.
-      if (view_.record_miss(peer, hp) ==
+      if (view_.record_miss(peer) ==
           overlay::NeighborView::Transition::kEvicted) {
         evict_neighbor(peer);
         continue;
@@ -1363,11 +1353,11 @@ void AriaNode::evict_neighbor(NodeId peer) {
 }
 
 void AriaNode::maybe_repair() {
-  const overlay::HealingParams& hp = ctx_.config->healing;
+  using HP = overlay::HealingParams;
   std::size_t attempts = 0;
   std::size_t pending = 0;
-  while (view_.live_degree() + pending < hp.degree_floor &&
-         attempts < hp.repair_attempts) {
+  while (view_.live_degree() + pending < HP::kDegreeFloor &&
+         attempts < HP::kRepairAttempts) {
     const NodeId contact = view_.take_contact();
     if (!contact.valid()) break;  // cache exhausted; refills via PONG gossip
     ++attempts;
@@ -1377,11 +1367,11 @@ void AriaNode::maybe_repair() {
 }
 
 std::vector<NodeId> AriaNode::contact_sample() {
-  const overlay::HealingParams& hp = ctx_.config->healing;
+  constexpr std::size_t k = overlay::HealingParams::kGossipContacts;
   std::vector<NodeId> live = view_.live_neighbors();
   if (live.empty()) live = ctx_.topo->neighbors(self_);
-  if (live.size() <= hp.gossip_contacts) return live;
-  return probe_rng_.sample(live, hp.gossip_contacts);
+  if (live.size() <= k) return live;
+  return probe_rng_.sample(live, k);
 }
 
 void AriaNode::on_ping(NodeId from, const PingMsg& msg) {
@@ -1397,11 +1387,8 @@ void AriaNode::on_ping(NodeId from, const PingMsg& msg) {
 }
 
 void AriaNode::on_pong(const PongMsg& msg) {
-  const overlay::HealingParams& hp = ctx_.config->healing;
   view_.pong_received(msg.from, msg.seq);
-  for (NodeId c : msg.contacts) {
-    view_.learn_contact(c, self_, hp.contact_cache);
-  }
+  for (NodeId c : msg.contacts) view_.learn_contact(c, self_);
 }
 
 void AriaNode::on_link_req(NodeId from, const LinkReqMsg& msg) {
@@ -1417,15 +1404,12 @@ void AriaNode::on_link_req(NodeId from, const LinkReqMsg& msg) {
 }
 
 void AriaNode::on_link_ack(const LinkAckMsg& msg) {
-  const overlay::HealingParams& hp = ctx_.config->healing;
   if (ctx_.healing_topo != nullptr) {
     ctx_.healing_topo->add_link(self_, msg.from);
   }
   if (!view_.tracked(msg.from)) ++view_.stats().repair_links;
   view_.track(msg.from);
-  for (NodeId c : msg.contacts) {
-    view_.learn_contact(c, self_, hp.contact_cache);
-  }
+  for (NodeId c : msg.contacts) view_.learn_contact(c, self_);
 }
 
 // ---------------------------------------------------------------------------
@@ -1437,10 +1421,10 @@ std::uint32_t AriaNode::my_region() const {
 }
 
 bool AriaNode::region_aggregator() const {
-  if (!hierarchy_on()) return false;
-  const HierarchyParams& h = ctx_.config->hierarchy;
-  return overlay::is_aggregator_candidate(self_, h.region_count,
-                                          h.agg_standby);
+  return hierarchy_on() &&
+         overlay::is_aggregator_candidate(self_,
+                                          ctx_.config->hierarchy.region_count,
+                                          HierarchyParams::kAggStandby);
 }
 
 std::optional<overlay::RegionDigest> AriaNode::region_digest_of(
@@ -1456,14 +1440,18 @@ std::vector<NodeId> AriaNode::flood_targets(std::size_t fanout,
   if (!hierarchy_on() || wide) {
     return ctx_.relay->pick_targets(self_, fanout, exclude_a, exclude_b);
   }
-  const HierarchyParams& h = ctx_.config->hierarchy;
   return ctx_.relay->pick_targets_in_region(
-      self_, fanout, h.region_count, my_region(), exclude_a, exclude_b);
+      self_, fanout, ctx_.config->hierarchy.region_count, my_region(),
+      exclude_a, exclude_b);
 }
 
 bool AriaNode::wide_flood(std::size_t attempt) const {
-  const std::size_t every = ctx_.config->hierarchy.wide_flood_every;
-  return hierarchy_on() && every != 0 && attempt % every == 0;
+  return hierarchy_on() && attempt % HierarchyParams::kWideFloodEvery == 0;
+}
+
+bool AriaNode::sustained_silence(const PendingRequest& pending) const {
+  return hierarchy_on() && ctx_.faults != nullptr &&
+         pending.silent_rounds >= HierarchyParams::kEscalateSilentRounds;
 }
 
 bool AriaNode::handle_region(NodeId from, const sim::Message& m,
@@ -1490,13 +1478,12 @@ overlay::MemberLoad AriaNode::member_load() const {
 }
 
 void AriaNode::region_report_tick() {
-  const HierarchyParams& h = ctx_.config->hierarchy;
+  const std::size_t r_count = ctx_.config->hierarchy.region_count;
   const overlay::MemberLoad load = member_load();
   // Report to every candidate (not just the primary) so standbys hold a
   // warm table and failover costs one retry, not a table rebuild.
-  for (std::size_t k = 0; k < h.agg_standby; ++k) {
-    const NodeId cand =
-        overlay::aggregator_candidate(my_region(), h.region_count, k);
+  for (std::size_t k = 0; k < HierarchyParams::kAggStandby; ++k) {
+    const NodeId cand = overlay::aggregator_candidate(my_region(), r_count, k);
     if (cand == self_) {
       member_report(self_) = MemberReport{load, ctx_.sim->now()};
       continue;
@@ -1507,7 +1494,8 @@ void AriaNode::region_report_tick() {
 }
 
 void AriaNode::region_digest_tick() {
-  const HierarchyParams& h = ctx_.config->hierarchy;
+  using H = HierarchyParams;
+  const std::size_t r_count = ctx_.config->hierarchy.region_count;
   // Refresh the own entry, then age out members that stopped reporting
   // (crashed or partitioned) so the digest tracks the live region.
   member_report(self_) = MemberReport{member_load(), ctx_.sim->now()};
@@ -1516,7 +1504,7 @@ void AriaNode::region_digest_tick() {
   loads.reserve(member_loads_.size());
   for (std::optional<MemberReport>& report : member_loads_) {
     if (!report) continue;
-    if (report->received + h.staleness <= ctx_.sim->now()) {
+    if (report->received + H::kStaleness <= ctx_.sim->now()) {
       report.reset();
     } else {
       loads.push_back(report->load);
@@ -1546,15 +1534,14 @@ void AriaNode::region_digest_tick() {
   // forgets the freshness check. Behavior-neutral for serve_region_query
   // (it already skips stale entries); pure state hygiene otherwise.
   std::erase_if(digest_table_, [&](const auto& entry) {
-    return entry.second.received + h.staleness <= ctx_.sim->now();
+    return entry.second.received + H::kStaleness <= ctx_.sim->now();
   });
-  for (std::uint32_t r = 0; r < h.region_count; ++r) {
+  for (std::uint32_t r = 0; r < r_count; ++r) {
     if (r == my_region()) continue;
-    for (std::size_t k = 0; k < h.agg_standby; ++k) {
+    for (std::size_t k = 0; k < H::kAggStandby; ++k) {
       ++counters_.digests_sent;
-      ctx_.net->send(
-          self_, overlay::aggregator_candidate(r, h.region_count, k),
-          std::make_unique<RegionDigestMsg>(self_, digest));
+      ctx_.net->send(self_, overlay::aggregator_candidate(r, r_count, k),
+                     std::make_unique<RegionDigestMsg>(self_, digest));
     }
   }
 }
@@ -1575,7 +1562,7 @@ void AriaNode::on_region_load(const RegionLoadMsg& msg) {
 
 void AriaNode::on_region_digest(const RegionDigestMsg& msg) {
   const overlay::RegionDigest& d = msg.digest;
-  if (defense_on() && ctx_.config->defense.digest_clamp &&
+  if (defense_on() &&
       overlay::conservation_breaches(d, ctx_.config->hierarchy.region_count,
                                      ctx_.grid_size)
           .any()) {
@@ -1594,14 +1581,12 @@ void AriaNode::on_region_digest(const RegionDigestMsg& msg) {
 
 void AriaNode::send_region_query(const grid::JobSpec& spec,
                                  std::size_t attempt) {
-  const HierarchyParams& h = ctx_.config->hierarchy;
-  if (h.region_count <= 1) return;  // nowhere to delegate to
+  const std::size_t r_count = ctx_.config->hierarchy.region_count;
+  if (r_count <= 1) return;  // nowhere to delegate to
   // Failover by rotation: if the rank-0 aggregator is dead the query dies
   // with it, and the next attempt addresses rank 1 — no liveness tracking.
-  const std::size_t rank =
-      (attempt - 1) % std::max<std::size_t>(1, h.agg_standby);
-  const NodeId cand =
-      overlay::aggregator_candidate(my_region(), h.region_count, rank);
+  const std::size_t rank = (attempt - 1) % HierarchyParams::kAggStandby;
+  const NodeId cand = overlay::aggregator_candidate(my_region(), r_count, rank);
   ++counters_.region_queries;
   const auto att = static_cast<std::uint32_t>(attempt);
   if (cand == self_) {
@@ -1624,17 +1609,16 @@ bool AriaNode::aggregator_cold() const {
 void AriaNode::serve_region_query(NodeId initiator, const grid::JobSpec& spec,
                                   std::uint32_t attempt,
                                   std::uint32_t handoffs) {
-  const HierarchyParams& h = ctx_.config->hierarchy;
+  using H = HierarchyParams;
+  const std::size_t r_count = ctx_.config->hierarchy.region_count;
   // Cold-restart discipline: a candidate inside its warm-up window lost its
   // tables in the crash, so an answer would silently strand the escalation.
-  // Bounce the query to the next-rank candidate — at most agg_standby hops,
+  // Bounce the query to the next-rank candidate — at most kAggStandby hops,
   // after which the holder serves best-effort rather than ping-ponging.
-  if (aggregator_cold() && handoffs < h.agg_standby) {
-    const std::size_t next_rank =
-        (attempt - 1 + handoffs + 1) %
-        std::max<std::size_t>(1, h.agg_standby);
+  if (aggregator_cold() && handoffs < H::kAggStandby) {
+    const std::size_t next_rank = (attempt + handoffs) % H::kAggStandby;
     const NodeId next =
-        overlay::aggregator_candidate(my_region(), h.region_count, next_rank);
+        overlay::aggregator_candidate(my_region(), r_count, next_rank);
     if (next != self_) {
       ++counters_.region_handoffs;
       ctx_.net->send(self_, next,
@@ -1650,7 +1634,7 @@ void AriaNode::serve_region_query(NodeId initiator, const grid::JobSpec& spec,
   cands.reserve(digest_table_.size());
   for (const auto& [r, e] : digest_table_) {
     if (r == my_region()) continue;
-    if (e.received + h.staleness <= ctx_.sim->now()) continue;
+    if (e.received + H::kStaleness <= ctx_.sim->now()) continue;
     if (e.digest.members == 0) continue;
     cands.push_back(e.digest);
   }
@@ -1683,10 +1667,9 @@ void AriaNode::serve_region_query(NodeId initiator, const grid::JobSpec& spec,
     pick = attempt - 3;
   }
   const overlay::RegionDigest& target = cands[pick % cands.size()];
-  const std::size_t rank =
-      (attempt - 1) % std::max<std::size_t>(1, h.agg_standby);
+  const std::size_t rank = (attempt - 1) % H::kAggStandby;
   const NodeId remote =
-      overlay::aggregator_candidate(target.region, h.region_count, rank);
+      overlay::aggregator_candidate(target.region, r_count, rank);
   ++counters_.region_forwards;
   emit(event::RegionDelegated{spec.id, self_, my_region(), target.region});
   ctx_.net->send(self_, remote,
@@ -1746,7 +1729,7 @@ void AriaNode::schedule_flood_gc(const Uuid& flood_id) {
 
 bool AriaNode::first_sighting(std::unordered_set<Uuid>& seen, const Uuid& id) {
   if (!seen.insert(id).second) return false;
-  ctx_.sim->schedule_after(ctx_.config->assign_dedup_gc_delay,
+  ctx_.sim->schedule_after(AriaConfig::kAssignDedupGcDelay,
                            [&seen, id] { seen.erase(id); });
   return true;
 }

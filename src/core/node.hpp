@@ -190,7 +190,7 @@ class AriaNode {
     return adv_role_;
   }
   /// Defense plane: the promise-vs-delivery score this node holds for
-  /// `subject` (initial_reputation when never observed).
+  /// `subject` (kInitialReputation when never observed).
   double reputation_of(NodeId subject) const {
     return reputation_.score(subject);
   }
@@ -211,13 +211,13 @@ class AriaNode {
     /// must still carry that initiator, not this node.
     NodeId on_behalf_of{};
     /// Hierarchy plane: this round already solicited a cross-region offer
-    /// because the best local one was poor (delegate_cost_threshold). One
+    /// because the best local one was poor (kDelegateCostThreshold). One
     /// extra collection window per round, never more.
     bool remote_round{false};
     /// Consecutive rounds that ended with zero offers AND no sign of life
-    /// from the escalation path. Feeds escalate_silent_rounds: a sustained
+    /// from the escalation path. Feeds sustained_silence(): a long enough
     /// streak means every aggregator candidate may be dead, so widen the
-    /// flood early instead of waiting for wide_flood_every.
+    /// flood early instead of waiting for kWideFloodEvery.
     std::size_t silent_rounds{0};
   };
   struct PendingInform {
@@ -361,8 +361,13 @@ class AriaNode {
                                     NodeId exclude_b = kInvalidNode,
                                     bool wide = false);
   /// Should discovery attempt `attempt` (1-based) flood without the region
-  /// filter? (hierarchy.wide_flood_every; always false with the plane off)
+  /// filter? (kWideFloodEvery; always false with the plane off)
   bool wide_flood(std::size_t attempt) const;
+  /// Has `pending` gone silent for kEscalateSilentRounds rounds while the
+  /// fault plane runs against the hierarchy? Then the next flood widens
+  /// early and the retry backoff is capped (docs/hierarchy.md "Failure
+  /// modes"); fault-free runs never escalate.
+  bool sustained_silence(const PendingRequest& pending) const;
   /// This node's current load, as a member reports it to its aggregators.
   overlay::MemberLoad member_load() const;
   /// Periodic member → candidate load report.
@@ -412,7 +417,7 @@ class AriaNode {
   void notify_initiator_of(const JobId& id, NotifyMsg::Kind kind);
   void arm_watchdog(const JobId& id);
   void watchdog_expired(const JobId& id);
-  /// Failsafe: lazy TTL sweep of completion receipts (completion_receipt_ttl;
+  /// Failsafe: lazy TTL sweep of completion receipts (kCompletionReceiptTtl;
   /// called from the periodic inform tick, mirroring flood-dedup GC).
   void sweep_completion_receipts();
 
@@ -470,7 +475,7 @@ class AriaNode {
   void complete_running();
   void schedule_flood_gc(const Uuid& flood_id);
   /// Records `id` in a dedup set and schedules its removal after
-  /// assign_dedup_gc_delay; false if it was already there.
+  /// kAssignDedupGcDelay; false if it was already there.
   bool first_sighting(std::unordered_set<Uuid>& seen, const Uuid& id);
 
   double my_cost(const grid::JobSpec& job) const;
@@ -489,7 +494,7 @@ class AriaNode {
   /// Delegations awaiting an ASSIGN_ACK (empty when assign_ack is off).
   std::unordered_map<JobId, PendingAssign> pending_assigns_;
   /// Assign ids already accepted, so retransmissions and network duplicates
-  /// re-ACK without re-enqueueing (entries GC after assign_dedup_gc_delay).
+  /// re-ACK without re-enqueueing (entries GC after kAssignDedupGcDelay).
   std::unordered_set<Uuid> acked_assigns_;
   /// Initiator address for every job currently queued or running here.
   std::unordered_map<JobId, NodeId> initiator_of_;
@@ -498,11 +503,10 @@ class AriaNode {
   /// storage and survives crashes: a failsafe recovery flood for one of
   /// these jobs means the completion NOTIFY never landed, and the answer is
   /// a replayed receipt, not a bid for a second execution. Receipts older
-  /// than completion_receipt_ttl are dropped by a lazy sweep inside the
-  /// periodic inform tick (no extra events, so enabling the TTL keeps
-  /// failsafe runs byte-identical) — no recovery flood can arrive once the
-  /// initiator's watchdog budget is spent, so expired receipts are dead
-  /// weight.
+  /// than kCompletionReceiptTtl are dropped by a lazy sweep inside the
+  /// periodic inform tick (no extra events) — no recovery flood can arrive
+  /// once the initiator's watchdog budget is spent, so expired receipts are
+  /// dead weight.
   std::unordered_map<JobId, TimePoint> completed_here_;
   /// Overload plane: shed jobs waiting out their INFORM burst.
   std::unordered_map<JobId, ShedJob> shed_jobs_;
@@ -562,7 +566,7 @@ class AriaNode {
   /// Monotone per-aggregator digest sequence (informational; survives
   /// crashes so restarted aggregators never reuse an epoch).
   std::uint64_t digest_epoch_{0};
-  /// Cold-restart discipline (aggregator_warmup): set on the restart path
+  /// Cold-restart discipline (kAggregatorWarmup): set on the restart path
   /// only — fault-free runs never touch it — and cleared by the first fresh
   /// REGION_LOAD or by the warm-up deadline passing. While cold the
   /// candidate refuses to serve REGION_QUERYs on stale state and hands them

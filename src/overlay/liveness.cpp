@@ -71,19 +71,19 @@ bool NeighborView::outstanding(NodeId peer) const {
   return it != peers_.end() && it->second.outstanding;
 }
 
-NeighborView::Transition NeighborView::record_miss(
-    NodeId peer, const HealingParams& params) {
+NeighborView::Transition NeighborView::record_miss(NodeId peer) {
   const auto it = peers_.find(peer);
   if (it == peers_.end()) return Transition::kNone;
   Peer& p = it->second;
   p.outstanding = false;
   ++p.missed;
-  if (p.missed >= params.evict_after) {
+  if (p.missed >= HealingParams::kEvictAfter) {
     p.state = PeerState::kEvicted;
     ++stats_.neighbor_evictions;
     return Transition::kEvicted;
   }
-  if (p.missed >= params.suspect_after && p.state == PeerState::kLive) {
+  if (p.missed >= HealingParams::kSuspectAfter &&
+      p.state == PeerState::kLive) {
     p.state = PeerState::kSuspected;
     return Transition::kSuspected;
   }
@@ -104,8 +104,7 @@ void NeighborView::pong_received(NodeId peer, std::uint32_t seq) {
   }
 }
 
-void NeighborView::learn_contact(NodeId contact, NodeId self,
-                                 std::size_t cache_bound) {
+void NeighborView::learn_contact(NodeId contact, NodeId self) {
   if (!contact.valid() || contact == self) return;
   if (peers_.contains(contact)) return;
   if (std::find(contacts_.begin(), contacts_.end(), contact) !=
@@ -113,7 +112,7 @@ void NeighborView::learn_contact(NodeId contact, NodeId self,
     return;
   }
   contacts_.push_back(contact);
-  if (contacts_.size() > cache_bound) {
+  if (contacts_.size() > HealingParams::kContactCache) {
     contacts_.erase(contacts_.begin());  // FIFO: oldest knowledge goes first
   }
 }

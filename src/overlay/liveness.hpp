@@ -4,8 +4,8 @@
 // node maintains only *local* knowledge about its neighbors. NeighborView is
 // that knowledge: for each overlay neighbor a small state machine
 //
-//   live --(suspect_after missed probes)--> suspected
-//   suspected --(evict_after missed probes)--> evicted
+//   live --(kSuspectAfter missed probes)--> suspected
+//   suspected --(kEvictAfter missed probes)--> evicted
 //   suspected --(PONG arrives)--> live            [counted: false suspicion]
 //   evicted --(link re-established)--> live
 //
@@ -32,27 +32,27 @@
 
 namespace aria::overlay {
 
-/// Knobs of the self-healing plane. Everything is off unless `enabled`; the
-/// defaults detect a crashed neighbor after evict_after * probe_period
-/// (2 minutes) while tolerating suspect_after lost probe exchanges.
+/// The self-healing plane: off unless `enabled`. It detects a crashed
+/// neighbor after kEvictAfter * kProbePeriod (2 minutes) while tolerating
+/// kSuspectAfter lost probe exchanges.
 struct HealingParams {
   bool enabled{false};
   /// One probe round every period; each round pings every tracked neighbor.
-  Duration probe_period{Duration::seconds(30)};
+  static constexpr Duration kProbePeriod = Duration::seconds(30);
   /// Consecutive unanswered probes before a neighbor is suspected.
-  std::size_t suspect_after{2};
+  static constexpr std::size_t kSuspectAfter = 2;
   /// Consecutive unanswered probes before a neighbor is evicted from the
-  /// flood/gossip target set (and its link dropped). Must be > suspect_after.
-  std::size_t evict_after{4};
+  /// flood/gossip target set (and its link dropped). Must be > kSuspectAfter.
+  static constexpr std::size_t kEvictAfter = 4;
   /// Eviction below this live degree triggers repair from cached contacts
   /// (mirrors BlatantParams::min_degree, the paper's average degree).
-  std::size_t degree_floor{4};
+  static constexpr std::size_t kDegreeFloor = 4;
   /// Live-neighbor sample carried on each PONG / LINK_ACK.
-  std::size_t gossip_contacts{4};
+  static constexpr std::size_t kGossipContacts = 4;
   /// Bound on the learned-contact cache.
-  std::size_t contact_cache{16};
+  static constexpr std::size_t kContactCache = 16;
   /// LINK_REQ attempts issued per probe round while below the floor.
-  std::size_t repair_attempts{2};
+  static constexpr std::size_t kRepairAttempts = 2;
 };
 
 enum class PeerState : std::uint8_t { kLive, kSuspected, kEvicted };
@@ -104,7 +104,7 @@ class NeighborView {
   /// applies the suspect/evict thresholds. Returns what changed. On
   /// kEvicted the peer is *kept* (state kEvicted) so callers can observe
   /// it; they normally untrack() it right after dropping the link.
-  Transition record_miss(NodeId peer, const HealingParams& params);
+  Transition record_miss(NodeId peer);
 
   /// A PONG for probe `seq` arrived; stale sequence numbers are ignored.
   /// Clears the miss counter; a suspected peer returns to live and counts
@@ -112,9 +112,10 @@ class NeighborView {
   void pong_received(NodeId peer, std::uint32_t seq);
 
   // --- contact cache ----------------------------------------------------
-  /// Remembers `contact` as a repair candidate (FIFO, bounded, deduped;
-  /// tracked peers and `self` are never cached).
-  void learn_contact(NodeId contact, NodeId self, std::size_t cache_bound);
+  /// Remembers `contact` as a repair candidate (FIFO, bounded by
+  /// HealingParams::kContactCache, deduped; tracked peers and `self` are
+  /// never cached).
+  void learn_contact(NodeId contact, NodeId self);
 
   /// Pops the oldest cached contact not currently tracked; kInvalidNode
   /// when the cache is exhausted.

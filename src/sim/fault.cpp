@@ -39,7 +39,7 @@ bool FaultPlane::minority_side(std::size_t index, NodeId node) const {
       node.value());
   // Top 53 bits -> uniform double in [0, 1).
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return u < config_.partitions[index].fraction;
+  return u < FaultConfig::Partition::kFraction;
 }
 
 bool FaultPlane::partitioned(NodeId from, NodeId to, TimePoint now) const {
@@ -128,12 +128,13 @@ FaultPlane::Verdict FaultPlane::on_send(NodeId from, NodeId to,
   }
   if (duplicate > 0.0 && rng.bernoulli(duplicate)) {
     v.duplicate = true;
-    v.duplicate_lag =
-        rng.uniform_duration(Duration::millis(1), config_.duplicate_lag_max);
+    v.duplicate_lag = rng.uniform_duration(Duration::millis(1),
+                                           FaultConfig::kDuplicateLagMax);
     ++counters_.duplicated;
   }
   if (config_.spike > 0.0 && rng.bernoulli(config_.spike)) {
-    v.extra_delay = rng.uniform_duration(config_.spike_min, config_.spike_max);
+    v.extra_delay = rng.uniform_duration(FaultConfig::kSpikeMin,
+                                         FaultConfig::kSpikeMax);
     ++counters_.delayed;
   }
   return v;

@@ -44,14 +44,14 @@ struct FaultConfig {
   /// Probability that a sent message never arrives.
   double loss{0.0};
   /// Probability that a message is delivered twice (the copy arrives up to
-  /// `duplicate_lag_max` after the original).
+  /// `kDuplicateLagMax` after the original).
   double duplicate{0.0};
-  Duration duplicate_lag_max{Duration::millis(500)};
+  static constexpr Duration kDuplicateLagMax = Duration::millis(500);
   /// Probability of a link-level latency spike, adding a uniform extra
-  /// delay in [spike_min, spike_max] on top of the latency model.
+  /// delay in [kSpikeMin, kSpikeMax] on top of the latency model.
   double spike{0.0};
-  Duration spike_min{Duration::millis(200)};
-  Duration spike_max{Duration::seconds(2)};
+  static constexpr Duration kSpikeMin = Duration::millis(200);
+  static constexpr Duration kSpikeMax = Duration::seconds(2);
 
   // --- churn (node crash/restart schedules) -----------------------------
   struct Churn {
@@ -61,7 +61,7 @@ struct FaultConfig {
     /// Mean outage length, jittered the same way.
     Duration mean_downtime{Duration::minutes(10)};
     /// Fraction of the initial grid subject to churn (drawn per node).
-    double node_fraction{0.2};
+    static constexpr double kNodeFraction = 0.2;
     /// Churn starts after this offset (lets the overlay converge first).
     Duration start{Duration::minutes(30)};
   };
@@ -77,7 +77,8 @@ struct FaultConfig {
   /// churn schedules.
   struct TargetedChurn {
     /// Candidate ranks to attack (0 = plan inert; 1 = primaries only;
-    /// agg_standby = the whole candidate list of every targeted region).
+    /// HierarchyParams::kAggStandby = the whole candidate list of every
+    /// targeted region).
     std::uint32_t ranks{0};
     /// Restrict to these region ids; empty = every region.
     std::vector<std::uint32_t> regions{};
@@ -89,14 +90,14 @@ struct FaultConfig {
 
   // --- partitions --------------------------------------------------------
   /// A pairwise/group partition: for [start, start + duration) the grid is
-  /// split in two sides (a stateless per-node hash puts ~`fraction` of the
+  /// split in two sides (a stateless per-node hash puts ~`kFraction` of the
   /// nodes on the minority side); messages crossing sides are dropped.
   /// Windows may overlap; a message is blocked if any active window
   /// separates the endpoints.
   struct Partition {
     Duration start{};
     Duration duration{};
-    double fraction{0.5};
+    static constexpr double kFraction = 0.5;
   };
   std::vector<Partition> partitions{};
 

@@ -532,7 +532,7 @@ ScenarioConfig resolve_scenario(const CliOptions& options) {
     for (const auto& [start, duration] : options.partitions) {
       cfg.faults.partitions.push_back(sim::FaultConfig::Partition{
           Duration::seconds_f(start * 60.0),
-          Duration::seconds_f(duration * 60.0), 0.5});
+          Duration::seconds_f(duration * 60.0)});
     }
     if (options.target_churn_ranks > 0) {
       // Role-targeted churn only makes sense against the hierarchy, and it
@@ -584,17 +584,6 @@ ScenarioConfig resolve_scenario(const CliOptions& options) {
     cfg.aria.defense.enabled = true;
     cfg.aria.failsafe = true;
     cfg.aria.assign_ack = true;
-  }
-  if (options.any_faults() && cfg.aria.hierarchy.enabled) {
-    // Chaos hardening rides along whenever faults run against the
-    // hierarchy, mirroring how fault flags imply assign_ack: sustained
-    // silence (a fully dead candidate list) escalates to a wide flood
-    // early, on a clamped backoff. Fault-free --hierarchy runs keep the
-    // knobs at 0 and stay byte-identical to the unhardened plane.
-    if (cfg.aria.hierarchy.escalate_silent_rounds == 0) {
-      cfg.aria.hierarchy.escalate_silent_rounds = 2;
-      cfg.aria.hierarchy.silent_backoff_factor_cap = 2;
-    }
   }
   if (options.audit) cfg.audit.enabled = true;
   return cfg;

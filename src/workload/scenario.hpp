@@ -22,14 +22,14 @@ struct ScenarioConfig {
 
   // --- grid -------------------------------------------------------------
   std::size_t node_count{500};
-  double bootstrap_avg_degree{4.0};
+  static constexpr double kBootstrapAvgDegree = 4.0;
   /// Overlay construction/maintenance family. The paper evaluates on
   /// BLATANT-S; the alternatives implement its future work of comparing
   /// meta-scheduling across overlay types.
   enum class OverlayFamily { kBlatant, kRandomRegular, kSmallWorld };
   OverlayFamily overlay_family{OverlayFamily::kBlatant};
   /// Small-world rewiring probability (kSmallWorld only).
-  double small_world_beta{0.1};
+  static constexpr double kSmallWorldBeta = 0.1;
 
   /// Virtual organizations (paper §III-B's example execution constraint).
   /// With vo_count > 1, nodes are tagged "vo0".."vo<n-1>" round-robin and
@@ -53,17 +53,13 @@ struct ScenarioConfig {
   /// storms compose with every scenario without perturbing its seed.
   std::optional<StormParams> storm{};
   grid::ErtErrorModel ert_error{};
-  /// Regenerate requirements until >= 1 node in the built grid matches, so
-  /// all 1000 jobs are schedulable (the paper's completion counts reach
-  /// 1000; see DESIGN.md).
-  bool feasible_jobs_only{true};
 
   // --- expanding network (Expanding / iExpanding) --------------------------
   struct Expansion {
     Duration start{Duration::minutes(83)};           // 1h23m
     Duration mean_interval{Duration::seconds(50)};
     std::size_t target_node_count{700};
-    std::size_t join_contacts{2};
+    static constexpr std::size_t kJoinContacts = 2;
   };
   std::optional<Expansion> expansion{};
 
@@ -84,8 +80,8 @@ struct ScenarioConfig {
 
   // --- simulation ----------------------------------------------------------
   Duration horizon{Duration::hours(41) + Duration::minutes(40)};
-  Duration metrics_sample_period{Duration::seconds(60)};
-  Duration maintenance_period{Duration::minutes(5)};
+  static constexpr Duration kMetricsSamplePeriod = Duration::seconds(60);
+  static constexpr Duration kMaintenancePeriod = Duration::minutes(5);
 
   // --- sharded execution (docs/pdes.md) -------------------------------------
   /// Number of PDES shards the node plane is split across. 1 (the default)

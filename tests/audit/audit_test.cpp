@@ -142,7 +142,7 @@ TEST(Audit, DelegationNearHorizonGetsGrace) {
   AuditCollector a = make_collector(ctx);
   const JobId id = job_id(8);
   a.on_event(at(995), ev::RegionDelegated{id, NodeId{1}, 0, 2});
-  a.finish(at(1000));  // inside delegation_grace: in flight, not stranded
+  a.finish(at(1000));  // inside kDelegationGrace: in flight, not stranded
   EXPECT_EQ(a.violation_count(), 0u);
 }
 

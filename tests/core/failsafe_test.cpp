@@ -256,34 +256,24 @@ TEST(Reservation, SjfShortJobSlipsAheadBeforeReservationReachesHead) {
 TEST_F(FailsafeTest, CompletionReceiptsExpireAfterTheTtl) {
   // The executor's durable receipt answers recovery floods with a replay;
   // the TTL sweep (riding the inform tick) bounds how long it is held.
-  g.config.completion_receipt_ttl = 1_h;
+  static_assert(AriaConfig::kCompletionReceiptTtl == 12_h);
   auto& initiator = g.add_node(SchedulerKind::kFcfs, 1.0);
   auto& worker = g.add_node(SchedulerKind::kFcfs, 2.0);
   g.connect_all();
 
   initiator.submit(g.make_job(1_h));
-  g.run_for(45_min);  // done well inside the TTL: the receipt is live
+  g.run_for(45_min);  // done: the receipt is live
   EXPECT_EQ(g.tracker.completed_count(), 1u);
   EXPECT_EQ(initiator.completion_receipts() + worker.completion_receipts(),
             1u);
 
-  g.run_for(2_h);  // now long past the TTL: the periodic sweep dropped it
+  g.run_for(11_h);  // still inside the 12 h TTL
+  EXPECT_EQ(initiator.completion_receipts() + worker.completion_receipts(),
+            1u);
+
+  g.run_for(2_h);  // now past the TTL: the periodic sweep dropped it
   EXPECT_EQ(initiator.completion_receipts() + worker.completion_receipts(),
             0u);
-}
-
-TEST_F(FailsafeTest, ZeroTtlKeepsReceiptsForever) {
-  // Zero = the pre-TTL behavior: receipts are never swept.
-  g.config.completion_receipt_ttl = Duration::zero();
-  auto& initiator = g.add_node(SchedulerKind::kFcfs, 1.0);
-  auto& worker = g.add_node(SchedulerKind::kFcfs, 2.0);
-  g.connect_all();
-
-  initiator.submit(g.make_job(1_h));
-  g.run_for(12_h);
-  EXPECT_EQ(g.tracker.completed_count(), 1u);
-  EXPECT_EQ(initiator.completion_receipts() + worker.completion_receipts(),
-            1u);
 }
 
 TEST(Reservation, RescheduledJobKeepsItsReservation) {

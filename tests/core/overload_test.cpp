@@ -68,7 +68,6 @@ TEST(Overload, ShedWithNoTakerFallsBackToDiscovery) {
   TestGrid g;
   g.config.overload.enabled = true;
   g.config.overload.capacity_per_perf = 1.0;
-  g.config.overload.shed_offer_timeout = 10_s;
   g.config.retry.max_attempts = 0;  // keep re-flooding until the queue drains
   auto& lonely = g.add_node(SchedulerKind::kFcfs, 1.0);  // no neighbors
 
@@ -84,9 +83,9 @@ TEST(Overload, ShedWithNoTakerFallsBackToDiscovery) {
   lonely.deliver_assignment(j3, NodeId{0});
   EXPECT_TRUE(lonely.shedding(shed_id));
 
-  // Nobody answers the INFORM burst; after shed_offer_timeout the job falls
-  // back to a discovery round (which also finds no taker while the queue is
-  // full, so it backs off and retries).
+  // Nobody answers the INFORM burst; after kShedOfferTimeout (10 s) the job
+  // falls back to a discovery round (which also finds no taker while the
+  // queue is full, so it backs off and retries).
   g.run_for(15_s);
   EXPECT_FALSE(lonely.shedding(shed_id));
   EXPECT_EQ(lonely.counters().sheds_failsafe, 1u);

@@ -124,22 +124,6 @@ TEST(Protocol, MatchingNodeDoesNotForwardByDefault) {
   EXPECT_NE(g.tracker.find(id)->assignments[0].first, NodeId{2});
 }
 
-TEST(Protocol, ForwardOnMatchReachesBetterNodes) {
-  TestGrid g;
-  g.config.forward_on_match = true;
-  g.add_node(SchedulerKind::kFcfs, 1.0);
-  g.add_node(SchedulerKind::kFcfs, 1.0);
-  g.add_node(SchedulerKind::kFcfs, 2.0);
-  g.connect_line();
-
-  auto job = g.make_job(1_h);
-  const JobId id = job.id;
-  g.node(0).submit(std::move(job));
-  g.run_for(5_s);
-
-  EXPECT_EQ(g.tracker.find(id)->assignments[0].first, NodeId{2});
-}
-
 TEST(Protocol, HopLimitBoundsFloodReach) {
   TestGrid g;
   g.config.request_hops = 2;  // initiator -> n1 -> n2, no further

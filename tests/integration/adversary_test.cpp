@@ -76,7 +76,9 @@ TEST(Adversary, DesignationIsStatelessFractionBoundedAndRoleClosed) {
   const sim::FaultPlane mono{fc};
   for (std::uint32_t n = 0; n < 500; ++n) {
     const auto role = mono.adversary_role(NodeId{n});
-    if (role) EXPECT_EQ(*role, Role::kBlackhole) << n;
+    if (role) {
+      EXPECT_EQ(*role, Role::kBlackhole) << n;
+    }
   }
 }
 
@@ -133,10 +135,8 @@ TEST(Adversary, DisabledDefensePlaneIsByteIdentical) {
   workload::ScenarioConfig cfg = small_grid();
   const workload::RunResult base = workload::run_scenario(cfg, 67);
 
-  cfg.aria.defense.reputation_alpha = 0.9;
-  cfg.aria.defense.suspicion_threshold = 0.99;
   cfg.aria.defense.straggler_factor = 1.0;
-  cfg.aria.defense.hedge_budget = 5;
+  cfg.aria.defense.straggler_min_overdue = 1_min;
   const workload::RunResult r = workload::run_scenario(cfg, 67);
 
   EXPECT_FALSE(r.defense_enabled);
@@ -263,7 +263,6 @@ TEST(Adversary, HedgedRedispatchFiresButNeverDoubleRuns) {
   cfg.aria.defense.enabled = true;
   cfg.aria.defense.straggler_factor = 1.0;
   cfg.aria.defense.straggler_min_overdue = 1_min;
-  cfg.aria.defense.hedge_budget = 1;
   cfg.audit.enabled = true;
   const workload::RunResult r = workload::run_scenario(cfg, 101);
 

@@ -32,7 +32,6 @@ ScenarioConfig random_config(std::uint64_t seed) {
   c.aria.accept_timeout = Duration::seconds(rng.uniform_int(1, 10));
   c.aria.retry.backoff = Duration::seconds(rng.uniform_int(5, 60));
   c.aria.dynamic_rescheduling = rng.bernoulli(0.7);
-  c.aria.forward_on_match = rng.bernoulli(0.3);
   c.aria.initiator_self_candidate = rng.bernoulli(0.8);
   c.aria.failsafe = rng.bernoulli(0.3);
   c.aria.retry.max_attempts = 0;  // retry until placed

@@ -200,8 +200,7 @@ TEST(FaultRecovery, LossAndChurnLeaveNoJobStranded) {
   cfg.faults.seed = 0xFA;
   cfg.faults.loss = 0.05;
   cfg.faults.churn = sim::FaultConfig::Churn{
-      .mean_uptime = 3_h, .mean_downtime = 15_min,
-      .node_fraction = 0.2, .start = 30_min};
+      .mean_uptime = 3_h, .mean_downtime = 15_min, .start = 30_min};
   cfg.aria.failsafe = true;
   cfg.aria.assign_ack = true;
 

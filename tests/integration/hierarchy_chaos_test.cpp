@@ -29,20 +29,17 @@ workload::ScenarioConfig hier_scenario() {
 // ---------------------------------------------------------------------------
 
 TEST(HierarchyChaos, WarmupKnobIsInertWithoutRestarts) {
-  // The cold-start machinery arms only on the restart path: with no faults
-  // there are no restarts, so even an aggressive warmup window must leave
-  // the run byte-identical (and the telemetry zero).
-  const workload::RunResult base = workload::run_scenario(hier_scenario(), 61);
+  // The cold-start machinery arms only on the restart path, and the silence
+  // escalation only while the fault plane runs: a fault-free hierarchy run
+  // has no restarts and no fault plane, so its chaos telemetry stays zero.
+  const workload::RunResult r = workload::run_scenario(hier_scenario(), 61);
 
-  workload::ScenarioConfig cfg = hier_scenario();
-  cfg.aria.hierarchy.aggregator_warmup = 2_h;
-  const workload::RunResult r = workload::run_scenario(cfg, 61);
-
+  ASSERT_TRUE(r.hierarchy_enabled);
+  EXPECT_FALSE(r.faults_enabled);
+  EXPECT_GT(r.region_queries, 0u);  // silent rounds did happen...
   EXPECT_EQ(r.region_pulls, 0u);
   EXPECT_EQ(r.region_handoffs, 0u);
-  EXPECT_EQ(r.events_fired, base.events_fired);
-  EXPECT_EQ(r.traffic.total().messages, base.traffic.total().messages);
-  EXPECT_EQ(r.traffic.total().bytes, base.traffic.total().bytes);
+  EXPECT_EQ(r.early_wide_escalations, 0u);  // ...and none escalated
 }
 
 // ---------------------------------------------------------------------------
@@ -85,13 +82,11 @@ TEST(HierarchyChaos, DeadCandidateListStillCompletesViaWideFloods) {
   // re-floods anything lost in the gaps.
   workload::ScenarioConfig cfg = hier_scenario();
   cfg.aria.failsafe = true;
-  cfg.aria.hierarchy.escalate_silent_rounds = 2;
-  cfg.aria.hierarchy.silent_backoff_factor_cap = 2;
   cfg.faults.enabled = true;
   cfg.faults.seed = 0xDEAD;
   cfg.faults.targeted_churn = sim::FaultConfig::TargetedChurn{};
   cfg.faults.targeted_churn->ranks =
-      static_cast<std::uint32_t>(cfg.aria.hierarchy.agg_standby);
+      static_cast<std::uint32_t>(HierarchyParams::kAggStandby);
   cfg.faults.targeted_churn->regions = {1};
   cfg.faults.targeted_churn->mean_uptime = 10_min;
   cfg.faults.targeted_churn->mean_downtime = 3_h;
@@ -101,8 +96,10 @@ TEST(HierarchyChaos, DeadCandidateListStillCompletesViaWideFloods) {
 
   ASSERT_TRUE(a.faults_enabled);
   EXPECT_GT(a.faults.targeted_crashes, 0u);
-  // Discovery did have to route around the dead interior...
+  // Discovery did have to route around the dead interior, and the fault
+  // plane armed the silence escalation without being asked...
   EXPECT_GT(a.wide_floods, 0u);
+  EXPECT_GT(a.early_wide_escalations, 0u);
   // ...and no job stranded on it.
   EXPECT_EQ(a.stranded(), 0u);
   EXPECT_TRUE(a.tracker.violations().empty());
@@ -124,8 +121,6 @@ TEST(HierarchyChaos, CocktailAuditsCleanAndStrandsNothing) {
   // of the chaos-hier sweep preset's acceptance bar.
   workload::ScenarioConfig cfg = hier_scenario();
   cfg.aria.failsafe = true;
-  cfg.aria.hierarchy.escalate_silent_rounds = 2;
-  cfg.aria.hierarchy.silent_backoff_factor_cap = 2;
   cfg.faults.enabled = true;
   cfg.faults.seed = 0xC0C7;
   cfg.faults.loss = 0.02;

@@ -34,19 +34,13 @@ workload::ScenarioConfig hier_scenario() {
 // ---------------------------------------------------------------------------
 
 TEST(HierarchyIntegration, InertKnobsPreserveDeterminism) {
-  // Every hierarchy knob is set to an aggressive value, but the plane stays
-  // disabled: the run must be indistinguishable from the stock scenario —
-  // same events, same wire traffic, zero REGION_* state.
+  // The settable hierarchy knob is set to an aggressive value, but the plane
+  // stays disabled: the run must be indistinguishable from the stock
+  // scenario — same events, same wire traffic, zero REGION_* state.
   const workload::RunResult base = workload::run_scenario(small_grid(), 17);
 
   workload::ScenarioConfig knobs = small_grid();
   knobs.aria.hierarchy.region_count = 16;
-  knobs.aria.hierarchy.target_region_size = 2;
-  knobs.aria.hierarchy.agg_standby = 5;
-  knobs.aria.hierarchy.load_report_period = 1_min;
-  knobs.aria.hierarchy.digest_period = 1_min;
-  knobs.aria.hierarchy.delegate_cost_threshold = 1_s;
-  knobs.aria.hierarchy.wide_flood_every = 1;
   const workload::RunResult r = workload::run_scenario(knobs, 17);
 
   EXPECT_FALSE(r.hierarchy_enabled);

@@ -40,16 +40,15 @@ workload::ScenarioConfig storm_scenario() {
 // ---------------------------------------------------------------------------
 
 TEST(OverloadIntegration, InertKnobsPreserveDeterminism) {
-  // Every overload knob is set to an aggressive value, but the plane stays
-  // disabled: the run must be indistinguishable from the stock scenario —
-  // same events, same wire traffic, same completions, zero overload state.
+  // Every settable overload knob is set to an aggressive value, but the
+  // plane stays disabled: the run must be indistinguishable from the stock
+  // scenario — same events, same wire traffic, same completions, zero
+  // overload state.
   const workload::RunResult base = workload::run_scenario(small_grid(), 17);
 
   workload::ScenarioConfig knobs = small_grid();
   knobs.aria.overload.capacity_per_perf = 1.0;
   knobs.aria.overload.admission_backlog = 1_min;
-  knobs.aria.overload.bid_stop = 0.1;
-  knobs.aria.overload.bid_resume = 0.05;
   const workload::RunResult r = workload::run_scenario(knobs, 17);
 
   EXPECT_FALSE(r.overload_enabled);

@@ -128,8 +128,7 @@ FaultConfig partition_config() {
   cfg.enabled = true;
   cfg.seed = 11;
   cfg.partitions.push_back(
-      FaultConfig::Partition{.start = 10_min, .duration = 5_min,
-                             .fraction = 0.5});
+      FaultConfig::Partition{.start = 10_min, .duration = 5_min});
   return cfg;
 }
 
@@ -271,8 +270,6 @@ TEST(NetworkFaults, SpikeDelaysDelivery) {
   cfg.enabled = true;
   cfg.seed = 6;
   cfg.spike = 1.0;
-  cfg.spike_min = 1_s;
-  cfg.spike_max = 2_s;
   FaultPlane plane{cfg};
   net->set_fault_plane(&plane);
 
@@ -281,8 +278,11 @@ TEST(NetworkFaults, SpikeDelaysDelivery) {
   net->send(NodeId{1}, NodeId{2}, std::make_unique<CloneableMsg>(0));
   sim.run();
 
-  EXPECT_GE(delivered, TimePoint::origin() + 10_ms + 1_s);
-  EXPECT_LE(delivered, TimePoint::origin() + 10_ms + 2_s);
+  // The extra delay is uniform in [kSpikeMin, kSpikeMax] = [200 ms, 2 s].
+  static_assert(FaultConfig::kSpikeMin == 200_ms);
+  static_assert(FaultConfig::kSpikeMax == 2_s);
+  EXPECT_GE(delivered, TimePoint::origin() + 10_ms + FaultConfig::kSpikeMin);
+  EXPECT_LE(delivered, TimePoint::origin() + 10_ms + FaultConfig::kSpikeMax);
   EXPECT_EQ(plane.counters().delayed, 1u);
 }
 

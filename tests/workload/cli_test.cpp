@@ -220,12 +220,10 @@ TEST(Cli, TargetedFlagsArmThePlaneAndImplyTheirPlanes) {
   ASSERT_EQ(cfg.faults.message_bias.size(), 1u);
   EXPECT_EQ(cfg.faults.message_bias[0].type, "REGION_LOAD");
   // Targeting the hierarchy's interior implies the hierarchy (and churn
-  // implies the failsafe); faults on a hierarchy run arm the silence
-  // hardenings.
+  // implies the failsafe); with both planes on, the nodes arm the silence
+  // escalation themselves.
   EXPECT_TRUE(cfg.aria.hierarchy.enabled);
   EXPECT_TRUE(cfg.aria.failsafe);
-  EXPECT_EQ(cfg.aria.hierarchy.escalate_silent_rounds, 2u);
-  EXPECT_EQ(cfg.aria.hierarchy.silent_backoff_factor_cap, 2u);
 }
 
 TEST(Cli, ZeroedTargetedKnobsStayInert) {
@@ -243,7 +241,6 @@ TEST(Cli, ZeroedTargetedKnobsStayInert) {
   EXPECT_FALSE(cfg.faults.targeted_churn.has_value());
   EXPECT_TRUE(cfg.faults.region_partitions.empty());
   EXPECT_FALSE(cfg.aria.hierarchy.enabled);
-  EXPECT_EQ(cfg.aria.hierarchy.escalate_silent_rounds, 0u);
   EXPECT_FALSE(cfg.audit.enabled);
 }
 

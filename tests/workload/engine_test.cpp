@@ -56,7 +56,7 @@ TEST(Engine, DifferentSeedsDiffer) {
 
 TEST(Engine, MetricsSeriesAreSampled) {
   ScenarioConfig c = small_scenario();
-  c.metrics_sample_period = 60_s;
+  static_assert(ScenarioConfig::kMetricsSamplePeriod == 60_s);
   const RunResult r = run_scenario(c, 3);
   // 24h at 1/min -> ~1441 samples.
   EXPECT_GT(r.idle_series.size(), 1400u);

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Checks that EXPERIMENTS.md carries the paper driver's current output.
+# Checks that EXPERIMENTS.md carries the paper driver's and the ablations'
+# current output.
 #
 #   ./tools/check_experiments.sh [build-dir]
 #
@@ -8,18 +9,27 @@
 # ignored. Each section the driver prints (Table II, Figs. 1-10, the closing
 # "shape checks" line) opens with a blank line; EXPERIMENTS.md holds each
 # section, in order, as a ```text block directly under a
-# `<!-- bench_paper: NAME -->` marker. Exits 1 when the driver reports a
-# [shape MISS] or the blocks differ from its output, 2 when it is missing.
+# `<!-- bench_paper: NAME -->` marker. Then runs the ablation benches named
+# in ABLATIONS the same way: each one's report (a blank line, then the
+# block) must equal the ```text block under `<!-- bench_ablation: NAME -->`.
+# The gossip ablation takes minutes, so it is left out. Exits 1 when a bench
+# reports a [shape MISS] or exits nonzero, or a block differs from its
+# output; 2 when a bench binary is missing.
 set -u
 
 BUILD_DIR=${1:-build}
 PAPER="$BUILD_DIR/bench/bench_paper"
 DOC="$(dirname "$0")/../EXPERIMENTS.md"
 
-if [ ! -x "$PAPER" ]; then
-  echo "error: $PAPER not found -- build the bench_paper target first" >&2
-  exit 2
-fi
+ABLATIONS="centralized overlay overlay_types"
+
+for b in "$PAPER" $(for a in $ABLATIONS; do
+                      echo "$BUILD_DIR/bench/bench_ablation_$a"; done); do
+  if [ ! -x "$b" ]; then
+    echo "error: $b not found -- build the bench targets first" >&2
+    exit 2
+  fi
+done
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -46,5 +56,27 @@ then
        "(- doc, + driver)" >&2
   status=1
 fi
-[ "$status" -eq 0 ] && echo "check_experiments: OK ($(tail -n 1 "$tmp/out.txt"))"
+
+for a in $ABLATIONS; do
+  if ! "$BUILD_DIR/bench/bench_ablation_$a" > "$tmp/$a.txt"; then
+    echo "check_experiments: bench_ablation_$a reported a shape MISS or" \
+         "failed" >&2
+    status=1
+  fi
+  awk -v want="<!-- bench_ablation: $a -->" '
+    $0 == want { marker = 1; next }
+    marker && /^```text$/ { block = 1; marker = 0; print ""; next }
+    block && /^```$/ { exit }
+    block { print }
+  ' "$DOC" > "$tmp/$a.doc.txt"
+  if ! diff -u "$tmp/$a.doc.txt" "$tmp/$a.txt"; then
+    echo "check_experiments: EXPERIMENTS.md differs from" \
+         "bench_ablation_$a's output (- doc, + bench)" >&2
+    status=1
+  fi
+done
+
+[ "$status" -eq 0 ] &&
+  echo "check_experiments: OK ($(tail -n 1 "$tmp/out.txt"); ablations:" \
+       "$ABLATIONS)"
 exit "$status"
