@@ -251,11 +251,6 @@ struct AriaConfig {
   /// retransmissions and network duplicates stay idempotent.
   static constexpr Duration kAssignDedupGcDelay = Duration::minutes(5);
 
-  // --- flood mechanics --------------------------------------------------
-  /// When a flood can no longer be in flight its dedup state is dropped
-  /// after this long (memory bound; must exceed hops * max latency).
-  Duration flood_gc_delay{Duration::seconds(60)};
-
   // --- self-healing overlay plane (docs/overlay.md) ----------------------
   /// PING/PONG liveness probing, dead-neighbor eviction, and churn-aware
   /// link repair. Off by default: with healing off nodes send no probe

@@ -555,7 +555,6 @@ void AriaNode::accept_job(const grid::JobSpec& spec, NodeId initiator,
 FloodMeta AriaNode::open_flood(Rng& rng, std::size_t hops) {
   const Uuid flood_id = Uuid::generate(rng);
   ctx_.relay->mark_seen(self_, flood_id, ctx_.sim->now());
-  schedule_flood_gc(flood_id);
   return FloodMeta{flood_id, static_cast<std::uint32_t>(hops - 1), self_};
 }
 
@@ -1126,8 +1125,7 @@ void AriaNode::inform_tick() {
   // kQueued notification would not prevent false recoveries.
   if (ctx_.config->failsafe) {
     // Receipt TTL rides the existing periodic tick (a lazy sweep, like
-    // flood-dedup GC): no new events, so arming the TTL keeps failsafe
-    // runs byte-identical.
+    // flood-dedup GC): no new events.
     sweep_completion_receipts();
     for (const auto& q : sched_->queue()) {
       notify_initiator_of(q.spec.id, NotifyMsg::Kind::kQueued);
@@ -1707,7 +1705,6 @@ void AriaNode::on_region_pull(NodeId from, const RegionPullMsg& msg) {
   if (!ctx_.relay->mark_seen(self_, msg.flood.flood_id, ctx_.sim->now())) {
     return;  // duplicate
   }
-  schedule_flood_gc(msg.flood.flood_id);
   // Answer straight to the soliciting candidate, skipping the report cycle.
   if (msg.from != self_) {
     ++counters_.load_reports;
@@ -1720,12 +1717,6 @@ void AriaNode::on_region_pull(NodeId from, const RegionPullMsg& msg) {
 // ---------------------------------------------------------------------------
 // Dedup state GC
 // ---------------------------------------------------------------------------
-
-void AriaNode::schedule_flood_gc(const Uuid& flood_id) {
-  overlay::FloodRelay* relay = ctx_.relay;
-  ctx_.sim->schedule_after(ctx_.config->flood_gc_delay,
-                           [relay, flood_id] { relay->forget(flood_id); });
-}
 
 bool AriaNode::first_sighting(std::unordered_set<Uuid>& seen, const Uuid& id) {
   if (!seen.insert(id).second) return false;

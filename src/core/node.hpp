@@ -473,7 +473,6 @@ class AriaNode {
   void inform_tick();
   void kick_executor();
   void complete_running();
-  void schedule_flood_gc(const Uuid& flood_id);
   /// Records `id` in a dedup set and schedules its removal after
   /// kAssignDedupGcDelay; false if it was already there.
   bool first_sighting(std::unordered_set<Uuid>& seen, const Uuid& id);

@@ -5,11 +5,11 @@
 namespace aria::overlay {
 
 bool FloodRelay::mark_seen(NodeId node, const Uuid& id, TimePoint now) {
-  if (!ttl_.is_zero()) sweep(now);
+  sweep(now);
   auto [it, inserted] = seen_.try_emplace(id);
   if (inserted) {
     it->second.first_seen = now;
-    if (!ttl_.is_zero()) expiry_.emplace_back(now, id);
+    expiry_.emplace_back(now, id);
   }
   std::vector<bool>& seen = it->second.nodes;
   if (node.index() >= seen.size()) seen.resize(node.index() + 1);
@@ -25,7 +25,7 @@ bool FloodRelay::has_seen(NodeId node, const Uuid& id) const {
 }
 
 void FloodRelay::sweep(TimePoint now) {
-  while (!expiry_.empty() && expiry_.front().first + ttl_ <= now) {
+  while (!expiry_.empty() && expiry_.front().first + kTtl <= now) {
     const auto& [stamp, id] = expiry_.front();
     auto it = seen_.find(id);
     // Only reclaim the entry this record described; if the flood was

@@ -6,11 +6,11 @@
 // the two pieces of per-node state/logic that implement this: duplicate
 // suppression keyed by flood id, and randomized target selection.
 //
-// Dedup state is bounded two ways: the protocol explicitly forget()s a flood
-// once it can no longer be in flight, and a TTL sweep (set_ttl) reclaims any
-// entry a late duplicate re-created after that forget — without the sweep
-// such stragglers accumulated forever. The sweep is keyed purely on sim time
-// passed into mark_seen, so it draws no randomness and stays deterministic.
+// Dedup state is bounded by one expiry: a TTL sweep reclaims every entry
+// kTtl after the flood was first seen, which is long after any flood can
+// still be in flight. The sweep is keyed purely on sim time passed into
+// mark_seen, so it schedules no events, draws no randomness and stays
+// deterministic.
 #pragma once
 
 #include <cstddef>
@@ -58,13 +58,12 @@ class FloodRelay {
                                              NodeId exclude_a = kInvalidNode,
                                              NodeId exclude_b = kInvalidNode);
 
-  /// Drops dedup state for a finished flood (the protocol schedules this
-  /// once a flood can no longer be in flight, bounding memory).
-  void forget(const Uuid& id) { seen_.erase(id); }
+  /// How long a flood's dedup entry lives after its first sighting (memory
+  /// bound; must exceed hops * max latency).
+  static constexpr Duration kTtl = Duration::seconds(60);
 
-  /// Enables the TTL sweep: entries untouched by forget() are reclaimed once
-  /// `ttl` has passed since they were first seen. Zero disables (default).
-  void set_ttl(Duration ttl) { ttl_ = ttl; }
+  /// Drops dedup state for a finished flood now, ahead of the sweep.
+  void forget(const Uuid& id) { seen_.erase(id); }
 
   std::size_t tracked_floods() const { return seen_.size(); }
 
@@ -86,7 +85,6 @@ class FloodRelay {
 
   const Topology* topo_;
   ForkTable node_rng_;
-  Duration ttl_{Duration::zero()};
   std::unordered_map<Uuid, Entry> seen_;
   // (first_seen, id) in insertion order; a stale record whose first_seen no
   // longer matches the live entry (the flood was forgotten and re-created)

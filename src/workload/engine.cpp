@@ -251,10 +251,6 @@ void GridSimulation::build() {
     taps_.add(auditor_.get(), 1);
   }
   relay_ = std::make_unique<overlay::FloodRelay>(topo_, rng_.fork(2));
-  // Entries a late duplicate re-creates after the protocol's explicit
-  // forget() would otherwise live forever; the TTL sweep reclaims them on
-  // the same schedule the protocol already uses.
-  relay_->set_ttl(config_.aria.flood_gc_delay);
   submit_rng_ = rng_.fork(3);
   jobgen_ = std::make_unique<JobGenerator>(config_.jobs, rng_.fork(4));
   // Sharded execution (docs/pdes.md): validates the plane combination,

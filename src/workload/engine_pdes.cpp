@@ -144,7 +144,6 @@ void GridSimulation::build_shard_fabric() {
     // node consulting its own shard's relay sees sequential behaviour.
     f.relays.push_back(
         std::make_unique<overlay::FloodRelay>(topo_, rng_.fork(2)));
-    f.relays.back()->set_ttl(config_.aria.flood_gc_delay);
     f.recorders.push_back(std::make_unique<RecordingObserver>(&f.stamp));
   }
 }

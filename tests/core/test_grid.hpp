@@ -33,7 +33,6 @@ class TestGrid {
     config.retry.backoff = 2_s;
     config.inform_period = 60_s;
     config.reschedule_threshold = 1_s;
-    config.flood_gc_delay = 30_s;
   }
 
   ~TestGrid() {

@@ -296,7 +296,7 @@ TEST(Adversary, ZeroedCliKnobsReproduceTheGolden) {
 
   // The same pins as Determinism.GoldenRunMatchesRecordedKernelBehaviour.
   EXPECT_EQ(r.completed(), 80u);
-  EXPECT_EQ(r.events_fired, 91929u);
+  EXPECT_EQ(r.events_fired, 91227u);
   EXPECT_EQ(r.traffic.total().messages, 67226u);
   EXPECT_EQ(r.traffic.total().bytes, 68025856u);
   EXPECT_EQ(r.tracker.total_reschedules(), 37u);

@@ -26,9 +26,12 @@ ScenarioConfig golden_scenario() {
 // moved from shared to per-entity RNG streams (the PDES determinism
 // contract, docs/pdes.md): the draws themselves changed, so message counts
 // and event totals shifted, but completions stayed at the same plateau.
+// kGoldenEventsFired alone was re-pinned (91929 -> 91227) when flood dedup
+// state got one expiry, the relay's TTL sweep, instead of a scheduled
+// forget event per opened flood; nothing else moved.
 constexpr std::uint64_t kGoldenSeed = 42;
 constexpr std::size_t kGoldenCompleted = 80;
-constexpr std::uint64_t kGoldenEventsFired = 91929;
+constexpr std::uint64_t kGoldenEventsFired = 91227;
 constexpr std::uint64_t kGoldenTotalMessages = 67226;
 constexpr std::uint64_t kGoldenTotalBytes = 68025856;
 constexpr std::uint64_t kGoldenReschedules = 37;

@@ -106,10 +106,10 @@ TEST(FloodRelay, PickTargetsIsRandomized) {
 }
 
 TEST(FloodRelay, TtlSweepReclaimsExpiredEntries) {
+  static_assert(FloodRelay::kTtl == Duration::seconds(60));
   Topology t;
   Rng rng{20};
   FloodRelay relay{t, rng.fork(1)};
-  relay.set_ttl(Duration::seconds(60));
   const Uuid a = make_id(rng), b = make_id(rng);
   relay.mark_seen(NodeId{1}, a, TimePoint::origin());
   relay.mark_seen(NodeId{1}, b, TimePoint::origin() + Duration::seconds(30));
@@ -123,13 +123,11 @@ TEST(FloodRelay, TtlSweepReclaimsExpiredEntries) {
 }
 
 TEST(FloodRelay, LateDuplicateAfterForgetIsEventuallyReclaimed) {
-  // The leak this fixes: the protocol forget()s a flood once it can no
-  // longer be in flight, but a straggler duplicate arriving later
-  // re-created the entry and nothing ever deleted it again.
+  // An explicit forget() followed by a straggler duplicate re-creates the
+  // entry; the sweep must still reclaim it, one TTL after the re-creation.
   Topology t;
   Rng rng{21};
   FloodRelay relay{t, rng.fork(1)};
-  relay.set_ttl(Duration::seconds(60));
   const Uuid id = make_id(rng);
   relay.mark_seen(NodeId{1}, id, TimePoint::origin());
   relay.forget(id);
@@ -149,15 +147,21 @@ TEST(FloodRelay, LateDuplicateAfterForgetIsEventuallyReclaimed) {
   EXPECT_FALSE(relay.has_seen(NodeId{1}, id));
 }
 
-TEST(FloodRelay, ZeroTtlNeverSweeps) {
+TEST(FloodRelay, EveryRelaySweepsExactlyAtTheTtl) {
+  // No setup call: a freshly built relay sweeps, and an entry lives until
+  // exactly kTtl after its first sighting.
   Topology t;
   Rng rng{22};
   FloodRelay relay{t, rng.fork(1)};
-  const Uuid id = make_id(rng);
-  relay.mark_seen(NodeId{1}, id, TimePoint::origin());
-  relay.mark_seen(NodeId{2}, id, TimePoint::origin() + Duration::hours(24));
+  const Uuid id = make_id(rng), other = make_id(rng);
+  const TimePoint t0 = TimePoint::origin() + Duration::hours(1);
+  relay.mark_seen(NodeId{1}, id, t0);
+  relay.mark_seen(NodeId{2}, other,
+                  t0 + FloodRelay::kTtl - Duration::micros(1));
   EXPECT_TRUE(relay.has_seen(NodeId{1}, id));
-  EXPECT_EQ(relay.tracked_floods(), 1u);
+  relay.mark_seen(NodeId{2}, other, t0 + FloodRelay::kTtl);
+  EXPECT_FALSE(relay.has_seen(NodeId{1}, id));
+  EXPECT_EQ(relay.tracked_floods(), 1u);  // `other` only
 }
 
 TEST(FloodRelay, SweepKeepsBoundedUnderStragglerChurn) {
@@ -166,7 +170,6 @@ TEST(FloodRelay, SweepKeepsBoundedUnderStragglerChurn) {
   Topology t;
   Rng rng{23};
   FloodRelay relay{t, rng.fork(1)};
-  relay.set_ttl(Duration::seconds(60));
   for (int i = 0; i < 1000; ++i) {
     const Uuid id = make_id(rng);
     const TimePoint now = TimePoint::origin() + Duration::seconds(i);
