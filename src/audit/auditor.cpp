@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/config.hpp"
 #include "core/messages.hpp"
 
 namespace aria::audit {
@@ -166,8 +167,9 @@ void AuditCollector::check(const proto::event::Reputation& e, TimePoint at) {
       (static_cast<std::uint64_t>(e.owner.value()) << 32) |
       static_cast<std::uint64_t>(e.subject.value());
   const auto it = rep_scores_.find(key);
-  const double prev =
-      it == rep_scores_.end() ? ctx_.reputation_initial : it->second;
+  const double prev = it == rep_scores_.end()
+                          ? proto::DefenseParams::kInitialReputation
+                          : it->second;
   if (std::abs(e.score - prev) > ctx_.reputation_alpha + kEps) {
     violate("reputation-jump",
             e.owner.to_string() + " moved " + e.subject.to_string() +

@@ -54,17 +54,15 @@ struct AuditContext {
   /// AriaConfig::failsafe_max_recoveries (0 = failsafe off; budget check
   /// skipped).
   std::size_t failsafe_max_recoveries{0};
-  /// DefenseParams::hedge_budget when the defense plane is on; caps the
+  /// DefenseParams::kHedgeBudget when the defense plane is on; caps the
   /// hedged ASSIGNs any one job may carry on the wire. 0 = hedging off, so
   /// any hedge-flagged delegation is itself a violation.
   std::size_t hedge_budget{0};
-  /// DefenseParams::reputation_alpha when the defense plane is on; one
-  /// reputation update may move a score by at most this much. 0 = the
+  /// DefenseParams::kReputationAlpha when the defense plane is on; one
+  /// reputation update may move a score by at most this much, measured
+  /// from DefenseParams::kInitialReputation for a first update. 0 = the
   /// reputation checks are skipped (defense off).
   double reputation_alpha{0.0};
-  /// DefenseParams::initial_reputation — the pre-first-observation score
-  /// the movement bound measures the first update against.
-  double reputation_initial{1.0};
   /// Designated-adversary predicate (FaultPlane::adversary_role). Digest
   /// violations whose originator is an *expected* adversary are
   /// re-attributed to an informational counter instead of failing the run —

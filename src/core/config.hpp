@@ -131,7 +131,7 @@ struct HierarchyParams {
   /// delegation both silent — the signature of a fully dead candidate
   /// list), the next flood widens immediately instead of waiting for the
   /// kWideFloodEvery rotation. Armed only while the fault plane runs
-  /// alongside the hierarchy (AriaNode::escalation_armed), so fault-free
+  /// alongside the hierarchy (AriaNode::sustained_silence), so fault-free
   /// hierarchy runs stay byte-identical to the unhardened plane.
   static constexpr std::size_t kEscalateSilentRounds = 2;
   /// Backoff cap once sustained silence is detected: while a request's

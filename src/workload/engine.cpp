@@ -232,10 +232,8 @@ void GridSimulation::build() {
     actx.failsafe_max_recoveries =
         config_.aria.failsafe ? config_.aria.failsafe_max_recoveries : 0;
     if (config_.aria.defense.enabled) {
-      using D = proto::DefenseParams;
-      actx.hedge_budget = D::kHedgeBudget;
-      actx.reputation_alpha = D::kReputationAlpha;
-      actx.reputation_initial = D::kInitialReputation;
+      actx.hedge_budget = proto::DefenseParams::kHedgeBudget;
+      actx.reputation_alpha = proto::DefenseParams::kReputationAlpha;
     }
     if (faults_ && faults_->config().adversary) {
       // The fault plane outlives the auditor (declared first in the

@@ -266,7 +266,7 @@ TEST(Audit, ReputationMovesAreBoundedByAlpha) {
   AuditContext ctx;
   ctx.reputation_alpha = 0.3;
   AuditCollector a = make_collector(ctx);
-  // Never-observed peers start at reputation_initial (1.0): one EWMA step
+  // Never-observed peers start at kInitialReputation (1.0): one EWMA step
   // can move the score by at most alpha.
   // |1.0 - 0.79| <= 0.3
   a.on_event(at(1), ev::Reputation{NodeId{0}, NodeId{7}, 0.79});

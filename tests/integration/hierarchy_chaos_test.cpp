@@ -6,6 +6,8 @@
 // jobs — all exactly replayable per (seed, fault seed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/fault.hpp"
 #include "workload/engine.hpp"
 #include "workload/scenario.hpp"
@@ -36,10 +38,16 @@ TEST(HierarchyChaos, WarmupKnobIsInertWithoutRestarts) {
 
   ASSERT_TRUE(r.hierarchy_enabled);
   EXPECT_FALSE(r.faults_enabled);
-  EXPECT_GT(r.region_queries, 0u);  // silent rounds did happen...
   EXPECT_EQ(r.region_pulls, 0u);
   EXPECT_EQ(r.region_handoffs, 0u);
-  EXPECT_EQ(r.early_wide_escalations, 0u);  // ...and none escalated
+  EXPECT_EQ(r.early_wide_escalations, 0u);
+  // Some job did flood again after kEscalateSilentRounds empty rounds, so
+  // only the absent fault plane kept that flood from escalating.
+  std::size_t most_retries = 0;
+  for (const auto& [id, rec] : r.tracker.records()) {
+    most_retries = std::max(most_retries, rec.retries);
+  }
+  EXPECT_GT(most_retries, HierarchyParams::kEscalateSilentRounds);
 }
 
 // ---------------------------------------------------------------------------
