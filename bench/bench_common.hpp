@@ -1,4 +1,5 @@
-// Shared plumbing for the paper and ablation benches.
+// Shared plumbing for the evaluation driver (bench_paper) and the tracing
+// overhead bench.
 //
 // The benches rerun the paper's scenarios at full scale (500 nodes, 1000
 // jobs, 41h40m of simulated time) and print the rows/series the paper
@@ -81,16 +82,6 @@ inline workload::ScenarioConfig bench_scenario(const std::string& name) {
     }
   }
   return c;
-}
-
-inline workload::ScenarioSummary run(const std::string& name,
-                                     Duration curve_bucket =
-                                         Duration::minutes(30)) {
-  const auto cfg = bench_scenario(name);
-  std::fprintf(stderr, "[bench] running %s x%zu ...\n", name.c_str(),
-               bench_runs());
-  return workload::run_and_summarize(cfg, bench_runs(), bench_seed(),
-                                     curve_bucket);
 }
 
 inline void header(const std::string& id, const std::string& title) {

@@ -1,41 +1,280 @@
-// The paper's evaluation in one program: Table II and Figs. 1–10.
+// The paper's evaluation in one program: Table II, Figs. 1–10, and the four
+// ablations the repository adds (an omniscient centralized scheduler, the
+// flood parameters, overlay families, gossip dissemination).
 //
-// The evaluation is one matrix, the 26 Table-II scenarios × ARIA_BENCH_RUNS
-// seeds. Every (scenario, seed) pair is simulated exactly once, on one sweep
-// pool with a worker per hardware thread; each table and figure is then a
-// view over those runs. Every figure prints the paper's qualitative claims
-// as [shape OK]/[shape MISS] verdicts, and the program exits 1 if any
-// missed. EXPERIMENTS.md carries this program's default output verbatim
+// The evaluation is one run list: the 26 Table-II scenarios, the six
+// non-paper flood-parameter variants and the two non-BLATANT overlay
+// families of iMixed, each × ARIA_BENCH_RUNS seeds, plus the centralized and
+// gossip baselines on iMixed's seeds. Every run is simulated exactly once,
+// on one pool with a worker per hardware thread (the gossip seeds first:
+// they take longest). Each table and figure is then a view over those runs;
+// an ablation row that is the paper's own configuration reads the iMixed
+// runs the figures use. Every section prints its qualitative claims as
+// [shape OK]/[shape MISS] verdicts, and the program exits 1 if any missed.
+// EXPERIMENTS.md carries this program's default output verbatim
 // (tools/check_experiments.sh keeps it in sync).
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <memory>
 #include <string_view>
 #include <utility>
 
 #include "bench_common.hpp"
-#include "sweep/runner.hpp"
+#include "common/parallel.hpp"
+#include "core/centralized.hpp"
+#include "core/gossip.hpp"
+#include "core/tracker.hpp"
+#include "grid/profile_gen.hpp"
+#include "overlay/bootstrap.hpp"
+#include "sched/policies.hpp"
+#include "sim/latency.hpp"
+#include "workload/engine.hpp"
+#include "workload/jobgen.hpp"
 
 namespace {
 
 using namespace aria;
 using namespace aria::bench;
 
-/// One Table-II scenario: the summary the figures read, plus the config and
-/// the per-seed runs it was computed from.
+/// One simulated ARiA configuration: the summary the tables read, plus the
+/// config and the per-seed runs it was computed from.
 struct Scenario : workload::ScenarioSummary {
+  std::string label;  // the Table-II name, or an ablation row's label
   workload::ScenarioConfig config;
   std::vector<workload::RunResult> runs;
+
+  /// REQUEST retry floods per run.
+  double retries() const {
+    double sum = 0.0;
+    for (const auto& r : runs) {
+      for (const auto& [id, rec] : r.tracker.records()) {
+        sum += static_cast<double>(rec.retries);
+      }
+    }
+    return sum / static_cast<double>(runs.size());
+  }
 };
 
-struct Paper {
-  std::vector<Scenario> scenarios;  // workload::all_scenarios() order
+/// One seed of a non-ARiA baseline on iMixed's grid and workload.
+struct BaselineRun {
+  double completion_minutes{0.0};  // over the completed jobs
+  double waiting_minutes{0.0};
+  std::size_t completed{0};
+  std::uint64_t moves{0};     // centralized: global rebalance moves
+  double traffic_mib{0.0};    // gossip: everything sent
+  double gossip_mib{0.0};     // gossip: the GOSSIP background share
+};
 
-  const Scenario& by(std::string_view name) const {
+/// Per-run mean of one baseline field, summed in seed order.
+template <class T>
+double mean(const std::vector<BaselineRun>& runs, T BaselineRun::*field) {
+  double sum = 0.0;
+  for (const auto& r : runs) sum += static_cast<double>(r.*field);
+  return sum / static_cast<double>(runs.size());
+}
+
+/// Completed jobs and their mean completion and waiting times.
+BaselineRun tally(const proto::JobTracker& tracker) {
+  BaselineRun r;
+  double completion = 0.0, waiting = 0.0;
+  for (const auto& [id, rec] : tracker.records()) {
+    if (!rec.done()) continue;
+    ++r.completed;
+    completion += rec.completion_time().to_minutes();
+    waiting += rec.waiting_time().to_minutes();
+  }
+  if (r.completed > 0) {
+    r.completion_minutes = completion / static_cast<double>(r.completed);
+    r.waiting_minutes = waiting / static_cast<double>(r.completed);
+  }
+  return r;
+}
+
+// Runs the grid/workload through the omniscient centralized baseline: same
+// node profiles, same job distribution, direct assignment plus a periodic
+// global rebalance sweep standing in for the INFORM phase.
+BaselineRun run_centralized(const workload::ScenarioConfig& cfg,
+                            std::uint64_t seed) {
+  workload::ScenarioConfig quiet = cfg;
+  quiet.job_count = 0;  // the engine builds the grid; we drive submissions
+  workload::GridSimulation sim{quiet, seed};
+  sim.build();
+
+  // The engine's tracker already observes every node's lifecycle events;
+  // the meta-scheduler must report into the same one.
+  proto::JobTracker& tracker = sim.tracker();
+  proto::CentralizedMetaScheduler meta{sim.simulator(), sim.all_nodes(),
+                                       &tracker};
+  Rng rng{seed ^ 0xC3A7ULL};
+  workload::JobGenerator gen{cfg.jobs, rng.fork(1)};
+  Rng pick_rng = rng.fork(2);
+
+  std::uint64_t moves = 0;
+  auto nodes = sim.all_nodes();
+  for (std::size_t i = 0; i < cfg.job_count; ++i) {
+    const TimePoint at = TimePoint::origin() + cfg.submission_start +
+                         cfg.submission_interval * static_cast<std::int64_t>(i);
+    sim.simulator().schedule_at(at, [&sim, &meta, &gen, &pick_rng, &nodes] {
+      auto feasible = [&nodes](const grid::JobRequirements& req) {
+        for (auto* n : nodes) {
+          if (grid::satisfies(n->profile(), req, n->virtual_org())) return true;
+        }
+        return false;
+      };
+      const grid::JobSpec job = gen.next(sim.simulator().now(), feasible);
+      const auto pick = static_cast<std::size_t>(pick_rng.uniform_int(
+          0, static_cast<std::int64_t>(nodes.size()) - 1));
+      meta.submit(job, nodes[pick]->id());
+    });
+  }
+  // Global rebalance sweep with the same period/threshold as ARiA's INFORM.
+  sim.simulator().schedule_periodic(
+      cfg.aria.inform_period, cfg.aria.inform_period, [&meta, &moves, &cfg] {
+        moves += meta.rebalance(cfg.aria.reschedule_threshold.to_seconds());
+      });
+  sim.simulator().run_until(TimePoint::origin() + cfg.horizon);
+
+  BaselineRun r = tally(tracker);
+  r.moves = moves;
+  return r;
+}
+
+// Runs the grid/workload through gossip-based state dissemination (Erdil &
+// Lewis style, [25]): nodes push backlog summaries to random neighbors
+// every 30 s, and initiators assign from their cache instead of flooding.
+BaselineRun run_gossip(const workload::ScenarioConfig& cfg,
+                       std::uint64_t seed) {
+  Rng rng{seed};
+  sim::Simulator simulator;
+  sim::Network net{simulator,
+                   std::make_unique<sim::GeoLatencyModel>(
+                       sim::GeoLatencyModel::Params{.seed = seed ^ 0xA51C17ULL}),
+                   rng.fork(1)};
+  Rng boot_rng = rng.fork(5);
+  overlay::Topology topo = overlay::bootstrap_random(
+      cfg.node_count, workload::ScenarioConfig::kBootstrapAvgDegree, boot_rng);
+
+  proto::GossipConfig gossip_config;
+  gossip_config.gossip_period = Duration::seconds(30);
+  grid::ErtErrorModel ert_error = cfg.ert_error;
+  proto::JobTracker tracker;
+
+  std::vector<std::unique_ptr<proto::GossipNode>> nodes;
+  nodes.reserve(cfg.node_count);
+  for (std::size_t i = 0; i < cfg.node_count; ++i) {
+    const NodeId id{static_cast<std::uint32_t>(i)};
+    Rng profile_rng = rng.fork(100 + id.value());
+    grid::NodeProfile profile = grid::random_node_profile(profile_rng);
+    proto::GossipNode::Context ctx;
+    ctx.sim = &simulator;
+    ctx.net = &net;
+    ctx.topo = &topo;
+    ctx.config = &gossip_config;
+    ctx.ert_error = &ert_error;
+    ctx.observer = &tracker;
+    nodes.push_back(std::make_unique<proto::GossipNode>(
+        ctx, id, profile,
+        sched::make_scheduler(profile_rng.uniform_int(0, 1) == 0
+                                  ? sched::SchedulerKind::kFcfs
+                                  : sched::SchedulerKind::kSjf),
+        profile_rng.fork(7)));
+    nodes.back()->start();
+  }
+
+  workload::JobGenerator gen{cfg.jobs, rng.fork(4)};
+  Rng submit_rng = rng.fork(3);
+  auto feasible = [&nodes](const grid::JobRequirements& req) {
+    for (const auto& n : nodes) {
+      if (grid::satisfies(n->profile(), req)) return true;
+    }
+    return false;
+  };
+  for (std::size_t i = 0; i < cfg.job_count; ++i) {
+    const TimePoint at = TimePoint::origin() + cfg.submission_start +
+                         cfg.submission_interval * static_cast<std::int64_t>(i);
+    simulator.schedule_at(at, [&] {
+      grid::JobSpec job = gen.next(simulator.now(), feasible);
+      const auto pick = static_cast<std::size_t>(submit_rng.uniform_int(
+          0, static_cast<std::int64_t>(nodes.size()) - 1));
+      nodes[pick]->submit(std::move(job));
+    });
+  }
+  simulator.run_until(TimePoint::origin() + cfg.horizon);
+
+  BaselineRun r = tally(tracker);
+  constexpr double kMiB = 1024.0 * 1024.0;
+  r.traffic_mib = static_cast<double>(net.traffic().total().bytes) / kMiB;
+  r.gossip_mib = static_cast<double>(net.traffic().of("GOSSIP").bytes) / kMiB;
+  nodes.clear();
+  return r;
+}
+
+// Flood-parameter variants of iMixed around the paper's 9x4 REQUEST and
+// 8x2 INFORM floods (§IV-E). INFORM floods keep 8 hops in every variant.
+struct FloodVariant {
+  const char* label;
+  std::size_t request_hops;
+  std::size_t request_fanout;
+  std::size_t inform_fanout;
+};
+constexpr FloodVariant kFloodVariants[] = {
+    {"request 5x2 (starved)", 5, 2, 2}, {"request 9x2", 9, 2, 2},
+    {"request 5x4", 5, 4, 2},           {"request 9x4 (paper)", 9, 4, 2},
+    {"request 9x6 (greedy)", 9, 6, 2},  {"inform 8x1", 9, 4, 1},
+    {"inform 8x4", 9, 4, 4},
+};
+
+workload::ScenarioConfig with(workload::ScenarioConfig c,
+                              const FloodVariant& v) {
+  c.aria.request_hops = v.request_hops;
+  c.aria.request_fanout = v.request_fanout;
+  c.aria.inform_fanout = v.inform_fanout;
+  return c;
+}
+
+// Overlay families of equal average degree (the paper's future work, §VI).
+struct OverlayVariant {
+  const char* label;
+  workload::ScenarioConfig::OverlayFamily family;
+};
+constexpr OverlayVariant kOverlayVariants[] = {
+    {"blatant (paper)", workload::ScenarioConfig::OverlayFamily::kBlatant},
+    {"random-k", workload::ScenarioConfig::OverlayFamily::kRandomRegular},
+    {"small-world b=0.1", workload::ScenarioConfig::OverlayFamily::kSmallWorld},
+};
+
+workload::ScenarioConfig with(workload::ScenarioConfig c,
+                              const OverlayVariant& v) {
+  c.overlay_family = v.family;
+  return c;
+}
+
+/// Is the variant iMixed itself? Its row then reads the iMixed runs.
+template <class Variant>
+bool is_imixed(const Variant& v) {
+  const auto imixed = workload::scenario_by_name("iMixed");
+  const auto c = with(imixed, v);
+  return c.aria.request_hops == imixed.aria.request_hops &&
+         c.aria.request_fanout == imixed.aria.request_fanout &&
+         c.aria.inform_fanout == imixed.aria.inform_fanout &&
+         c.overlay_family == imixed.overlay_family;
+}
+
+struct Paper {
+  std::vector<Scenario> scenarios;  // Table II, then the ablation variants
+  std::vector<BaselineRun> centralized;  // one per seed
+  std::vector<BaselineRun> gossip;       // one per seed
+
+  const Scenario& by(std::string_view label) const {
     for (const auto& s : scenarios) {
-      if (s.name == name) return s;
+      if (s.label == label) return s;
     }
     std::abort();
+  }
+  template <class Variant>
+  const Scenario& row(const Variant& v) const {
+    return by(is_imixed(v) ? "iMixed" : v.label);
   }
   // Means over runs, in minutes.
   double completion(std::string_view n) const {
@@ -51,30 +290,55 @@ struct Paper {
 
 Paper simulate() {
   const std::size_t runs = bench_runs();
-  std::vector<sweep::RunSpec> specs;
-  for (const auto& c : workload::all_scenarios()) {
-    const auto config = bench_scenario(c.name);
-    for (std::size_t i = 0; i < runs; ++i) {
-      specs.push_back({.label = c.name,
-                       .config = config,
-                       .seed = bench_seed() + i,
-                       .entry_index = specs.size() / runs,
-                       .rep_index = i});
-    }
-  }
-  std::fprintf(stderr, "[bench] simulating %zu scenario(s) x %zu run(s) ...\n",
-               specs.size() / runs, runs);
-  auto results = sweep::run_all(specs);
-
+  const std::uint64_t seed = bench_seed();
   Paper paper;
-  for (std::size_t first = 0; first < specs.size(); first += runs) {
+  auto add = [&](std::string label, workload::ScenarioConfig config) {
     Scenario s;
-    s.config = specs[first].config;
-    const auto begin = std::make_move_iterator(results.begin() + first);
+    s.label = std::move(label);
+    s.config = std::move(config);
+    paper.scenarios.push_back(std::move(s));
+  };
+  for (const auto& c : workload::all_scenarios()) {
+    add(c.name, bench_scenario(c.name));
+  }
+  const auto imixed = bench_scenario("iMixed");
+  for (const auto& v : kFloodVariants) {
+    if (!is_imixed(v)) add(v.label, with(imixed, v));
+  }
+  for (const auto& v : kOverlayVariants) {
+    if (!is_imixed(v)) add(v.label, with(imixed, v));
+  }
+
+  // One pool over every run: gossip seeds first (they take longest, so they
+  // start while the shorter runs fill the other workers), then centralized
+  // seeds, then each ARiA configuration's seeds. Results land by index, so
+  // the output never depends on worker scheduling.
+  const std::size_t aria_runs = paper.scenarios.size() * runs;
+  std::vector<workload::RunResult> results(aria_runs);
+  paper.gossip.resize(runs);
+  paper.centralized.resize(runs);
+  std::fprintf(stderr,
+               "[bench] simulating %zu runs: %zu ARiA configurations x %zu "
+               "seed(s), gossip and centralized baselines x %zu ...\n",
+               aria_runs + 2 * runs, paper.scenarios.size(), runs, runs);
+  parallel_for_index(aria_runs + 2 * runs, 0, [&](std::size_t i) {
+    if (i < runs) {
+      paper.gossip[i] = run_gossip(imixed, seed + i);
+    } else if (i < 2 * runs) {
+      paper.centralized[i - runs] = run_centralized(imixed, seed + i - runs);
+    } else {
+      const std::size_t k = i - 2 * runs;
+      results[k] = workload::run_scenario(paper.scenarios[k / runs].config,
+                                          seed + k % runs);
+    }
+  });
+
+  for (std::size_t i = 0; i < paper.scenarios.size(); ++i) {
+    Scenario& s = paper.scenarios[i];
+    const auto begin = std::make_move_iterator(results.begin() + i * runs);
     s.runs.assign(begin, begin + runs);
     static_cast<workload::ScenarioSummary&>(s) =
         workload::summarize(s.config, s.runs);
-    paper.scenarios.push_back(std::move(s));
   }
   return paper;
 }
@@ -135,7 +399,8 @@ void table2(const Paper& p) {
   metrics::Table rows{{"scenario", "completed", "completion[min]",
                        "reschedules", "missed deadlines", "traffic MiB"}};
   bool all_clean = true;
-  for (const auto& s : p.scenarios) {
+  for (const auto& c : workload::all_scenarios()) {
+    const Scenario& s = p.by(c.name);
     for (const auto& r : s.runs) {
       all_clean = all_clean && r.tracker.violations().empty() &&
                   r.completed() == s.config.job_count;
@@ -540,6 +805,145 @@ void fig10(const Paper& p) {
         p.completion("iInform1") < p.completion("iMixed") * 1.2);
 }
 
+// Ablation (not in the paper): ARiA vs an omniscient centralized
+// meta-scheduler on the same grid and workload. Bounds the price of
+// decentralization: the centralized baseline sees every node instantly and
+// pays no discovery traffic; ARiA should land within a modest factor while
+// sending only bounded flood traffic.
+void centralized(const Paper& p) {
+  header("Ablation", "ARiA vs Omniscient Centralized Meta-Scheduler");
+  const Scenario& aria = p.by("iMixed");
+  const auto& c = p.centralized;
+  const double c_completion = mean(c, &BaselineRun::completion_minutes);
+  const double c_completed = mean(c, &BaselineRun::completed);
+
+  metrics::Table table{{"system", "completion[min]", "waiting[min]",
+                        "completed", "moves/reschedules", "traffic MiB/run"}};
+  table.add_row({"centralized (omniscient)", metrics::Table::num(c_completion),
+                 metrics::Table::num(mean(c, &BaselineRun::waiting_minutes)),
+                 metrics::Table::num(c_completed, 0),
+                 metrics::Table::num(mean(c, &BaselineRun::moves), 0), "0.0"});
+  table.add_row({"ARiA (fully distributed)",
+                 metrics::Table::num(aria.completion_minutes.mean()),
+                 metrics::Table::num(aria.waiting_minutes.mean()),
+                 metrics::Table::num(aria.completed_jobs.mean(), 0),
+                 metrics::Table::num(aria.reschedules.mean(), 0),
+                 metrics::Table::num(aria.traffic_mib_mean_total())});
+  std::cout << "\n";
+  table.print(std::cout);
+  std::cout << "\n";
+
+  const double ratio = aria.completion_minutes.mean() / c_completion;
+  std::cout << "decentralization cost: ARiA / centralized completion ratio = "
+            << metrics::Table::num(ratio, 2) << "\n\n";
+  const auto jobs = static_cast<double>(aria.config.job_count);
+  shape("centralized omniscient baseline is at least as good as ARiA",
+        ratio >= 0.95);
+  shape("ARiA stays within 2x of the omniscient baseline", ratio <= 2.0);
+  shape("both complete the full workload",
+        c_completed + 0.5 >= jobs && aria.completed_jobs.mean() + 0.5 >= jobs);
+}
+
+// Ablation (not in the paper): how the flood parameters trade discovery
+// quality against traffic, around the paper's choices (9x4 and 8x2), which
+// the authors state "guarantee a near optimal operation without flooding
+// the network".
+void flood_parameters(const Paper& p) {
+  header("Ablation", "Flood Parameters (REQUEST hops x fanout, INFORM fanout)");
+  metrics::Table table{{"variant", "completion[min]", "waiting[min]",
+                        "REQUEST MiB", "INFORM MiB", "retries", "resched"}};
+  for (const FloodVariant& v : kFloodVariants) {
+    const Scenario& s = p.row(v);
+    table.add_row({v.label, metrics::Table::num(s.completion_minutes.mean()),
+                   metrics::Table::num(s.waiting_minutes.mean()),
+                   metrics::Table::num(s.traffic_mib_mean("REQUEST")),
+                   metrics::Table::num(s.traffic_mib_mean("INFORM")),
+                   metrics::Table::num(s.retries(), 0),
+                   metrics::Table::num(s.reschedules.mean(), 0)});
+  }
+  std::cout << "\n";
+  table.print(std::cout);
+  std::cout << "\n";
+
+  auto request_mib = [&](std::string_view n) {
+    return p.by(n).traffic_mib_mean("REQUEST");
+  };
+  shape("paper's 9x4 flood beats a starved 5x2 flood on completion time",
+        p.completion("iMixed") < p.completion("request 5x2 (starved)"));
+  shape("fanout 6 adds little coverage for its extra traffic (<= 40% more)",
+        request_mib("request 9x6 (greedy)") <= request_mib("iMixed") * 1.4);
+}
+
+// Ablation (paper future work §VI): "experiments with different types of
+// peer-to-peer overlay networks in order to gain a better understanding of
+// its correlation to the meta-scheduling performance." iMixed on three
+// overlay families of equal average degree: BLATANT-S (the paper's
+// overlay), an unstructured k-regular random graph (Gnutella-style), and a
+// Watts–Strogatz ring lattice with 10% rewiring.
+void overlay_families(const Paper& p) {
+  header("Ablation", "Overlay Families (iMixed on equal-degree topologies)");
+  metrics::Table table{{"overlay", "APL", "degree", "completion[min]",
+                        "waiting[min]", "REQUEST MiB", "retries"}};
+  double worst_completion = 0.0;
+  for (const OverlayVariant& v : kOverlayVariants) {
+    const Scenario& s = p.row(v);
+    table.add_row({v.label,
+                   metrics::Table::num(s.overlay_avg_path_length.mean(), 2),
+                   metrics::Table::num(s.overlay_avg_degree.mean(), 2),
+                   metrics::Table::num(s.completion_minutes.mean()),
+                   metrics::Table::num(s.waiting_minutes.mean()),
+                   metrics::Table::num(s.traffic_mib_mean("REQUEST")),
+                   metrics::Table::num(s.retries(), 0)});
+    worst_completion = std::max(worst_completion, s.completion_minutes.mean());
+  }
+  std::cout << "\n";
+  table.print(std::cout);
+  std::cout << "\n";
+
+  shape("meta-scheduling performance is overlay-robust (spread < 15%)",
+        worst_completion < p.completion("iMixed") * 1.15);
+}
+
+// Ablation (related work §II): query-on-demand discovery (ARiA) vs
+// gossip-based state dissemination on the same grid and workload. Gossip
+// pays a constant background traffic cost and schedules from a cache that
+// lags reality; ARiA pays per-job flood traffic and quotes live state.
+void gossip(const Paper& p) {
+  header("Ablation", "ARiA (query floods) vs Gossip (state dissemination)");
+  const Scenario& aria = p.by("iMixed");
+  const auto& g = p.gossip;
+  const double g_completion = mean(g, &BaselineRun::completion_minutes);
+  const double g_completed = mean(g, &BaselineRun::completed);
+  const double g_traffic = mean(g, &BaselineRun::traffic_mib);
+
+  metrics::Table table{{"system", "completion[min]", "waiting[min]",
+                        "completed", "traffic MiB/run"}};
+  table.add_row({"ARiA (iMixed)",
+                 metrics::Table::num(aria.completion_minutes.mean()),
+                 metrics::Table::num(aria.waiting_minutes.mean()),
+                 metrics::Table::num(aria.completed_jobs.mean(), 0),
+                 metrics::Table::num(aria.traffic_mib_mean_total())});
+  table.add_row({"gossip dissemination", metrics::Table::num(g_completion),
+                 metrics::Table::num(mean(g, &BaselineRun::waiting_minutes)),
+                 metrics::Table::num(g_completed, 0),
+                 metrics::Table::num(g_traffic)});
+  std::cout << "\n";
+  table.print(std::cout);
+  std::cout << "\n(gossip background share: "
+            << metrics::Table::num(mean(g, &BaselineRun::gossip_mib))
+            << " MiB of " << metrics::Table::num(g_traffic) << " MiB)\n\n";
+
+  const auto jobs = static_cast<double>(aria.config.job_count);
+  shape("ARiA completes the full workload",
+        aria.completed_jobs.mean() + 0.5 >= jobs);
+  shape("gossip strands rare-profile jobs its cache never learns about",
+        g_completed < jobs);
+  shape("ARiA's live quotes beat gossip's stale cache on completion time",
+        aria.completion_minutes.mean() < g_completion);
+  shape("gossip's background dissemination costs more than ARiA's floods",
+        g_traffic > aria.traffic_mib_mean_total());
+}
+
 }  // namespace
 
 int main() {
@@ -555,5 +959,9 @@ int main() {
   fig08(paper);
   fig09(paper);
   fig10(paper);
+  centralized(paper);
+  flood_parameters(paper);
+  overlay_families(paper);
+  gossip(paper);
   return finish();
 }

@@ -6,9 +6,9 @@
 // summaries are cached with an age bound, and an initiator assigns a job
 // directly to the best *cached* candidate instead of flooding a discovery
 // query. This module implements that scheme over the same substrates
-// (network, overlay, schedulers) so `bench_ablation_gossip` can compare
-// the two philosophies: query-on-demand (ARiA) vs state-dissemination
-// (gossip).
+// (network, overlay, schedulers) so `bench_paper`'s gossip ablation can
+// compare the two philosophies: query-on-demand (ARiA) vs
+// state-dissemination (gossip).
 //
 // Wire model: a GOSSIP message carries up to `summaries_per_message`
 // cached summaries (its size scales accordingly); assignment reuses the

@@ -1,22 +1,6 @@
 #include "workload/aggregate.hpp"
 
-#include "common/parallel.hpp"
-
 namespace aria::workload {
-
-std::vector<RunResult> run_scenario_repeated(const ScenarioConfig& scenario,
-                                             std::size_t runs,
-                                             std::uint64_t base_seed,
-                                             bool parallel) {
-  // Results are keyed by seed index, so the output never depends on worker
-  // scheduling; the pool is bounded by the hardware thread count (the old
-  // std::async version launched every run at once).
-  std::vector<RunResult> results(runs);
-  parallel_for_index(runs, parallel ? 0 : 1, [&](std::size_t i) {
-    results[i] = run_scenario(scenario, base_seed + i);
-  });
-  return results;
-}
 
 ScenarioSummary summarize(const ScenarioConfig& scenario,
                           const std::vector<RunResult>& results,
@@ -64,13 +48,6 @@ ScenarioSummary summarize(const ScenarioConfig& scenario,
     s.reject_series.set_label(scenario.name);
   }
   return s;
-}
-
-ScenarioSummary run_and_summarize(const ScenarioConfig& scenario,
-                                  std::size_t runs, std::uint64_t base_seed,
-                                  Duration curve_bucket) {
-  return summarize(scenario, run_scenario_repeated(scenario, runs, base_seed),
-                   curve_bucket);
 }
 
 }  // namespace aria::workload

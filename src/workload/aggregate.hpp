@@ -1,8 +1,8 @@
-// Multi-run execution and aggregation (the paper repeats every scenario 10
-// times and reports averages).
+// Aggregation over repeated runs (the paper repeats every scenario 10
+// times and reports averages). The runs themselves execute on the sweep
+// runner's worker pool (sweep::run_all).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -53,23 +53,10 @@ struct ScenarioSummary {
   }
 };
 
-/// Runs `scenario` `runs` times with seeds base_seed, base_seed+1, ...
-/// Runs execute in parallel worker threads (each simulation is fully
-/// isolated and deterministic for its seed).
-std::vector<RunResult> run_scenario_repeated(const ScenarioConfig& scenario,
-                                             std::size_t runs,
-                                             std::uint64_t base_seed,
-                                             bool parallel = true);
-
 /// Collapses runs into a summary. `curve_bucket` sets the sampling grid of
 /// the averaged completed-jobs curve.
 ScenarioSummary summarize(const ScenarioConfig& scenario,
                           const std::vector<RunResult>& results,
                           Duration curve_bucket = Duration::minutes(30));
-
-/// run_scenario_repeated + summarize in one call.
-ScenarioSummary run_and_summarize(const ScenarioConfig& scenario,
-                                  std::size_t runs, std::uint64_t base_seed,
-                                  Duration curve_bucket = Duration::minutes(30));
 
 }  // namespace aria::workload

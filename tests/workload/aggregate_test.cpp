@@ -17,29 +17,20 @@ ScenarioConfig tiny(const std::string& base = "iMixed") {
   return c;
 }
 
-TEST(Aggregate, RepeatedRunsUseDistinctSeeds) {
-  const auto runs = run_scenario_repeated(tiny(), 3, 100, /*parallel=*/false);
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0].seed, 100u);
-  EXPECT_EQ(runs[1].seed, 101u);
-  EXPECT_EQ(runs[2].seed, 102u);
-}
-
-TEST(Aggregate, ParallelMatchesSequential) {
-  const auto seq = run_scenario_repeated(tiny(), 3, 50, /*parallel=*/false);
-  const auto par = run_scenario_repeated(tiny(), 3, 50, /*parallel=*/true);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].seed, par[i].seed);
-    EXPECT_EQ(seq[i].events_fired, par[i].events_fired);
-    EXPECT_DOUBLE_EQ(seq[i].mean_completion_minutes(),
-                     par[i].mean_completion_minutes());
+/// `runs` seeds of `c` from `base_seed` on. Multi-run execution itself is
+/// the sweep runner's (tests/sweep/runner_test.cpp).
+std::vector<RunResult> repeated(const ScenarioConfig& c, std::size_t runs,
+                                std::uint64_t base_seed) {
+  std::vector<RunResult> results;
+  for (std::size_t i = 0; i < runs; ++i) {
+    results.push_back(run_scenario(c, base_seed + i));
   }
+  return results;
 }
 
 TEST(Aggregate, SummaryStatistics) {
   const auto cfg = tiny();
-  const auto runs = run_scenario_repeated(cfg, 3, 7, true);
+  const auto runs = repeated(cfg, 3, 7);
   const ScenarioSummary s = summarize(cfg, runs);
   EXPECT_EQ(s.name, "iMixed");
   EXPECT_EQ(s.runs, 3u);
@@ -51,7 +42,7 @@ TEST(Aggregate, SummaryStatistics) {
 
 TEST(Aggregate, SummaryAveragesSeries) {
   const auto cfg = tiny();
-  const auto runs = run_scenario_repeated(cfg, 2, 11, true);
+  const auto runs = repeated(cfg, 2, 11);
   const ScenarioSummary s = summarize(cfg, runs);
   ASSERT_FALSE(s.idle_series.empty());
   EXPECT_EQ(s.idle_series.label(), "iMixed");
@@ -63,19 +54,13 @@ TEST(Aggregate, SummaryAveragesSeries) {
 
 TEST(Aggregate, TrafficSumsAcrossRuns) {
   const auto cfg = tiny();
-  const auto runs = run_scenario_repeated(cfg, 2, 13, true);
+  const auto runs = repeated(cfg, 2, 13);
   const ScenarioSummary s = summarize(cfg, runs);
   const auto total0 = runs[0].traffic.total().bytes;
   const auto total1 = runs[1].traffic.total().bytes;
   EXPECT_EQ(s.traffic.total().bytes, total0 + total1);
   EXPECT_NEAR(s.traffic_mib_mean_total(),
               static_cast<double>(total0 + total1) / 2.0 / 1048576.0, 1e-9);
-}
-
-TEST(Aggregate, RunAndSummarizeConvenience) {
-  const ScenarioSummary s = run_and_summarize(tiny(), 2, 17);
-  EXPECT_EQ(s.runs, 2u);
-  EXPECT_DOUBLE_EQ(s.completed_jobs.mean(), 15.0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <map>
 
 #include "metrics/report.hpp"
+#include "sweep/runner.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "workload/aggregate.hpp"
@@ -86,9 +87,16 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
+  // One spec per seed, on the sweep runner's pool; results come back in
+  // seed order whatever the worker count.
+  std::vector<sweep::RunSpec> specs;
+  for (std::size_t i = 0; i < options.runs; ++i) {
+    specs.push_back(
+        {.label = cfg.name, .config = cfg, .seed = options.seed + i});
+  }
   std::vector<workload::RunResult> results;
   try {
-    results = workload::run_scenario_repeated(cfg, options.runs, options.seed);
+    results = sweep::run_all(specs);
   } catch (const std::invalid_argument& e) {
     // Sharded execution rejects planes the executor cannot host.
     std::cerr << "error: " << e.what() << "\n";
