@@ -1,6 +1,5 @@
 #include "core/gossip.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace aria::proto {
@@ -57,19 +56,24 @@ NodeSummary GossipNode::own_summary() const {
 }
 
 std::vector<NodeSummary> GossipNode::newest_summaries() const {
-  std::vector<NodeSummary> all;
-  all.reserve(cache_.size() + 1);
-  all.push_back(own_summary());
-  for (const auto& [id, s] : cache_) all.push_back(s);
-  std::sort(all.begin(), all.end(),
-            [](const NodeSummary& a, const NodeSummary& b) {
-              if (a.stamped != b.stamped) return a.stamped > b.stamped;
-              return a.node < b.node;  // deterministic tie-break
-            });
-  if (all.size() > ctx_.config->summaries_per_message) {
-    all.resize(ctx_.config->summaries_per_message);
+  // Walks the recency index, merging in the own summary, so a round costs
+  // the cap rather than the cache size.
+  const NodeSummary own = own_summary();
+  const std::pair own_key{own.stamped, own.node};
+  const std::size_t cap = ctx_.config->summaries_per_message;
+  std::vector<NodeSummary> out;
+  out.reserve(cap);
+  bool own_sent = false;
+  auto it = recency_.begin();
+  while (out.size() < cap && (!own_sent || it != recency_.end())) {
+    if (!own_sent && (it == recency_.end() || Newer{}(own_key, *it))) {
+      out.push_back(own);
+      own_sent = true;
+    } else {
+      out.push_back(cache_.at((it++)->second));
+    }
   }
-  return all;
+  return out;
 }
 
 void GossipNode::gossip_tick() {
@@ -98,7 +102,13 @@ void GossipNode::on_gossip(const GossipMsg& msg) {
   for (const NodeSummary& s : msg.summaries) {
     if (s.node == self_) continue;
     auto [it, inserted] = cache_.try_emplace(s.node, s);
-    if (!inserted && s.stamped > it->second.stamped) it->second = s;
+    if (inserted) {
+      recency_.emplace(s.stamped, s.node);
+    } else if (s.stamped > it->second.stamped) {
+      recency_.erase({it->second.stamped, s.node});
+      recency_.emplace(s.stamped, s.node);
+      it->second = s;
+    }
   }
 }
 

@@ -17,8 +17,10 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -133,7 +135,8 @@ class GossipNode {
 
   Duration running_remaining() const;
   NodeSummary own_summary() const;
-  /// Freshest summaries (own first), capped at summaries_per_message.
+  /// Freshest summaries, own included: newest first, node id breaking
+  /// ties, capped at summaries_per_message.
   std::vector<NodeSummary> newest_summaries() const;
 
   Context ctx_;
@@ -144,6 +147,16 @@ class GossipNode {
 
   std::optional<Running> running_;
   std::unordered_map<NodeId, NodeSummary> cache_;
+  /// Newest stamp first, the node id breaking ties.
+  struct Newer {
+    bool operator()(const std::pair<TimePoint, NodeId>& a,
+                    const std::pair<TimePoint, NodeId>& b) const {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    }
+  };
+  /// cache_'s (stamp, node) keys in the order a GOSSIP payload lists them.
+  std::set<std::pair<TimePoint, NodeId>, Newer> recency_;
   sim::EventHandle gossip_timer_;
   bool started_{false};
 };

@@ -191,6 +191,59 @@ TEST(Gossip, TrafficIsMeteredAsGossip) {
   EXPECT_GT(gossip.bytes, gossip.messages * 64);  // payload > header
 }
 
+// One GOSSIP payload from a cache larger than the cap: the sender's own
+// summary and its newest cached ones, newest first, node id breaking ties,
+// capped at summaries_per_message (8). A newer stamp moves a cached node up;
+// an older one is ignored.
+TEST(Gossip, PayloadIsNewestFirstTieBrokenByNodeAndCapped) {
+  GossipGrid g;
+  auto& a = g.add_node(1.0);
+  const NodeId sink{1};  // a's only neighbour, recording what a pushes
+  g.topo.add_node(sink);
+  g.topo.add_link(a.id(), sink);
+  std::vector<std::vector<NodeSummary>> payloads;
+  g.net().attach(sink, [&](sim::Envelope env) {
+    if (env.message->type_id() == GossipMsg::static_type()) {
+      payloads.push_back(static_cast<const GossipMsg&>(*env.message).summaries);
+    }
+  });
+  auto push = [&](std::vector<std::pair<std::uint32_t, Duration>> entries) {
+    std::vector<NodeSummary> summaries;
+    for (const auto& [node, stamped] : entries) {
+      NodeSummary s;
+      s.node = NodeId{node};
+      s.stamped = TimePoint::origin() + stamped;
+      summaries.push_back(s);
+    }
+    g.net().send(sink, a.id(), std::make_unique<GossipMsg>(summaries));
+  };
+  auto last_payload = [&] {
+    std::vector<std::uint32_t> ids;
+    for (const auto& s : payloads.back()) ids.push_back(s.node.value());
+    return ids;
+  };
+
+  g.run_for(1_min);
+  // Twelve cached summaries, listed out of order: nodes 10-11 stamped at
+  // 5 s, 12-15 at 20 s, 16-21 at 10 s.
+  std::vector<std::pair<std::uint32_t, Duration>> twelve;
+  for (std::uint32_t n = 21; n >= 10; --n) {
+    twelve.emplace_back(n, n < 12 ? 5_s : n < 16 ? 20_s : 10_s);
+  }
+  push(twelve);
+  g.run_for(40_s);  // at least one gossip round after the delivery
+  ASSERT_FALSE(payloads.empty());
+  EXPECT_EQ(a.cache_size(), 12u);
+  EXPECT_EQ(last_payload(),
+            (std::vector<std::uint32_t>{0, 12, 13, 14, 15, 16, 17, 18}));
+  EXPECT_GT(payloads.back().front().stamped, TimePoint::origin() + 1_min);
+
+  push({{19, 30_s}, {12, 1_s}});
+  g.run_for(40_s);
+  EXPECT_EQ(last_payload(),
+            (std::vector<std::uint32_t>{0, 19, 12, 13, 14, 15, 16, 17}));
+}
+
 TEST(Gossip, ManyJobsCompleteCleanly) {
   GossipGrid g;
   for (int i = 0; i < 6; ++i) g.add_node(1.0 + 0.2 * i);
