@@ -7,7 +7,8 @@
 //   ARIA_BENCH_RUNS   repetitions per scenario (default 2; paper used 10)
 //   ARIA_BENCH_SEED   base seed (default 1)
 //   ARIA_BENCH_SCALE  workload scale factor in (0, 1] (default 1.0); values
-//                     below 1 shrink nodes/jobs proportionally for smoke runs
+//                     below 1 shrink nodes/jobs proportionally for smoke
+//                     runs, at the full-scale load per node
 // A malformed value exits 2 naming the variable.
 #pragma once
 
@@ -66,6 +67,8 @@ inline double bench_scale() {
 }
 
 /// Scenario by name, with the optional ARIA_BENCH_SCALE shrink applied.
+/// Jobs arrive 1/scale times further apart, so each node sees the load it
+/// sees at full scale over the same submission window.
 inline workload::ScenarioConfig bench_scenario(const std::string& name) {
   workload::ScenarioConfig c = workload::scenario_by_name(name);
   const double scale = bench_scale();
@@ -74,6 +77,8 @@ inline workload::ScenarioConfig bench_scenario(const std::string& name) {
         20, static_cast<std::size_t>(static_cast<double>(c.node_count) * scale));
     c.job_count = std::max<std::size_t>(
         20, static_cast<std::size_t>(static_cast<double>(c.job_count) * scale));
+    c.submission_interval = Duration::seconds_f(
+        c.submission_interval.to_seconds() / scale);
     if (c.expansion) {
       c.expansion->target_node_count = std::max(
           c.node_count + 10,

@@ -521,10 +521,15 @@ void fig03(const Paper& p) {
   }
   std::cout << "\n\n";
 
-  shape("iMixed keeps clearly fewer nodes idle than Mixed", imixed < mixed - 20);
-  shape("iSJF keeps clearly fewer nodes idle than SJF", isjf < sjf - 20);
-  shape("all rescheduling scenarios behave alike (spread < 40 nodes)",
-        std::abs(imixed - isjf) < 40 && std::abs(imixed - ifcfs) < 40);
+  // Margins scale with the grid: 4% and 8% of it (20 and 40 of 500 nodes).
+  const double clearly = 0.04 * static_cast<double>(cfg.node_count);
+  const double alike = 0.08 * static_cast<double>(cfg.node_count);
+  shape("iMixed keeps clearly fewer nodes idle than Mixed",
+        imixed < mixed - clearly);
+  shape("iSJF keeps clearly fewer nodes idle than SJF", isjf < sjf - clearly);
+  shape("all rescheduling scenarios behave alike (spread < " +
+            metrics::Table::num(alike, 0) + " nodes)",
+        std::abs(imixed - isjf) < alike && std::abs(imixed - ifcfs) < alike);
 }
 
 // Figure 4: deadline scheduling performance — missed deadlines, average
