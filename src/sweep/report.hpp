@@ -86,6 +86,13 @@ struct SweepReport {
   std::map<std::string, std::uint64_t> audit_by_kind;  // name-sorted
   sim::TrafficLedger traffic;  // summed over every run
 
+  /// The sweep's verdict: no stranded job, no lifecycle violation and no
+  /// auditor violation in any run (aria_sweep exits 1 otherwise).
+  bool clean() const {
+    return total_stranded == 0 && total_violations == 0 &&
+           total_audit_violations == 0;
+  }
+
   /// Folds results (indexed like specs, the expand() order) into the
   /// report. Never reorders: two calls with the same inputs produce
   /// identical reports regardless of how the results were computed.

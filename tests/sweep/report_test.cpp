@@ -123,6 +123,22 @@ TEST(SweepReport, TotalsSumEveryRun) {
   EXPECT_EQ(report.total_violations, violations);
 }
 
+// aria_sweep's exit verdict: a single auditor violation fails a sweep with
+// no stranded job and no lifecycle violation, as each of those does.
+TEST(SweepReport, AnyStrandedJobOrViolationFailsTheSweep) {
+  SweepReport report;
+  EXPECT_TRUE(report.clean());
+  report.total_audit_violations = 1;
+  EXPECT_FALSE(report.clean());
+
+  SweepReport stranded;
+  stranded.total_stranded = 1;
+  EXPECT_FALSE(stranded.clean());
+  SweepReport lifecycle;
+  lifecycle.total_violations = 1;
+  EXPECT_FALSE(lifecycle.clean());
+}
+
 TEST(SweepReport, WritersAreByteStableAcrossCalls) {
   const auto& [specs, results] = tiny_sweep();
   const SweepReport report = SweepReport::build(specs, results);

@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << "totals: " << report.total_runs << " run(s), stranded "
               << report.total_stranded << ", lifecycle violations "
-              << report.total_violations << ", traffic "
+              << report.total_violations << ", audit violations "
+              << report.total_audit_violations << ", traffic "
               << metrics::Table::num(
                      static_cast<double>(report.traffic.total().bytes) /
                          (1024.0 * 1024.0),
@@ -220,5 +221,5 @@ int main(int argc, char** argv) {
               << " (summary.json, summary.csv, runs.csv)\n";
   }
 
-  return (report.total_violations != 0 || report.total_stranded != 0) ? 1 : 0;
+  return report.clean() ? 0 : 1;
 }
