@@ -1,5 +1,5 @@
-// Shared plumbing for the evaluation driver (bench_paper) and the tracing
-// overhead bench.
+// Shared plumbing for bench_paper (the paper's evaluation and its
+// ablations) and the tracing overhead bench.
 //
 // The benches rerun the paper's scenarios at full scale (500 nodes, 1000
 // jobs, 41h40m of simulated time) and print the rows/series the paper

@@ -1,16 +1,16 @@
 #!/bin/sh
-# Checks that EXPERIMENTS.md carries the evaluation driver's current output.
+# Checks that EXPERIMENTS.md carries bench_paper's current output.
 #
 #   ./tools/check_experiments.sh [build-dir]
 #
 # Runs build-dir/bench/bench_paper (default build dir: build) at its
 # defaults: full scale, 2 runs, base seed 1, so any ARIA_BENCH_* setting is
-# ignored. Each section the driver prints (Table II, Figs. 1-10, the four
+# ignored. Each section bench_paper prints (Table II, Figs. 1-10, the four
 # ablations, the closing "shape checks" line) opens with a blank line;
 # EXPERIMENTS.md holds each section, in order, as a ```text block directly
-# under a `<!-- bench_paper: NAME -->` marker. Exits 1 when the driver
+# under a `<!-- bench_paper: NAME -->` marker. Exits 1 when bench_paper
 # reports a [shape MISS] or exits nonzero, or a block differs from its
-# output; 2 when the driver binary is missing.
+# output; 2 when the bench_paper binary is missing.
 set -u
 
 BUILD_DIR=${1:-build}
