@@ -75,10 +75,10 @@ int main(int argc, char** argv) {
     ok = false;
   }
   // Reconciliation: every injected drop the plane counted must appear in
-  // the network's faulted tally, and every executed duplication must have
-  // produced an extra delivery attempt.
-  if (r.faulted_messages != r.faults.injected_drops()) {
-    std::cout << "FAIL: network faulted " << r.faulted_messages
+  // the traffic ledger's faulted tally, and every executed duplication must
+  // have produced an extra delivery attempt.
+  if (r.traffic.total_faulted() != r.faults.injected_drops()) {
+    std::cout << "FAIL: ledger faulted " << r.traffic.total_faulted()
               << " != plane injected " << r.faults.injected_drops() << "\n";
     ok = false;
   }

@@ -1,4 +1,4 @@
-// The counter table: every protocol-event counter the planes keep, declared
+// The counter table: every run-level counter the simulator keeps, declared
 // once as X(plane, name, agg, "doc") in one X-macro list per counter owner.
 // `agg` says how per-node (or per-shard) values fold into a run total: `sum`,
 // or `max` for high-water marks. Owner fields, RunResult fields, the engine
@@ -78,6 +78,20 @@
   X(defense, hedges_dispatched, sum, "hedged ASSIGNs to runner-up bids")                        \
   X(defense, digests_clamped, sum, "non-conserving digests rejected")                           \
   X(defense, reputation_evictions, sum, "overlay evictions on suspicion")
+
+/// sim::Network: wire meters beside its per-type traffic ledger.
+#define ARIA_NETWORK_COUNTERS(X)                                                                 \
+  X(fault, duplicated_messages, sum, "injected duplicates put on the wire (clonable types)")     \
+  X(hierarchy, intra_region_messages, sum, "sends within one region")                           \
+  X(hierarchy, intra_region_bytes, sum, "bytes sent within one region")                         \
+  X(hierarchy, cross_region_messages, sum, "sends between two regions")                         \
+  X(hierarchy, cross_region_bytes, sum, "bytes sent between two regions")
+
+/// workload::GridSimulation: the engine's submission and connectivity tallies.
+#define ARIA_ENGINE_COUNTERS(X)                                                                  \
+  X(fault, submissions_dropped, sum, "submissions that found no alive node (whole-grid outage)") \
+  X(healing, live_disconnected_samples, sum, "metric samples with the live-node subgraph disconnected") \
+  X(healing, max_disconnect_streak, max, "longest run of consecutive disconnected samples")
 // clang-format on
 
 /// Declares one owner-struct (or RunResult) field per entry.
@@ -96,12 +110,14 @@ struct Counter {
 
 #define ARIA_COUNTER_ENTRY(plane, name, agg, doc) \
   Counter{#plane, #name, Agg::agg, doc},
-/// Every counter, in table order: fault, healing, then node entries (each
-/// plane's entries contiguous).
+/// Every counter, in table order: the fault, healing, node, network and
+/// engine lists. A plane's entries may span several lists.
 inline constexpr Counter kTable[] = {
     ARIA_FAULT_COUNTERS(ARIA_COUNTER_ENTRY)    //
     ARIA_HEALING_COUNTERS(ARIA_COUNTER_ENTRY)  //
-    ARIA_NODE_COUNTERS(ARIA_COUNTER_ENTRY)};
+    ARIA_NODE_COUNTERS(ARIA_COUNTER_ENTRY)     //
+    ARIA_NETWORK_COUNTERS(ARIA_COUNTER_ENTRY)  //
+    ARIA_ENGINE_COUNTERS(ARIA_COUNTER_ENTRY)};
 #undef ARIA_COUNTER_ENTRY
 inline constexpr std::size_t kCount = std::size(kTable);
 
@@ -136,6 +152,14 @@ constexpr void fold_healing(D& dst, const S& src) {
 template <class D, class S>
 constexpr void fold_node(D& dst, const S& src) {
   ARIA_NODE_COUNTERS(ARIA_COUNTER_FOLD)
+}
+template <class D, class S>
+constexpr void fold_network(D& dst, const S& src) {
+  ARIA_NETWORK_COUNTERS(ARIA_COUNTER_FOLD)
+}
+template <class D, class S>
+constexpr void fold_engine(D& dst, const S& src) {
+  ARIA_ENGINE_COUNTERS(ARIA_COUNTER_FOLD)
 }
 #undef ARIA_COUNTER_FOLD
 

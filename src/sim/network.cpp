@@ -29,7 +29,6 @@ void Network::schedule_delivery_at(NodeId from, NodeId to, MessageTypeId type,
       [this, from, to, type, msg = std::move(message)]() mutable {
         const NodeState* node = state(to);
         if (node == nullptr || !node->up) {
-          ++dropped_;
           traffic_.record_drop(type);
           return;
         }
@@ -54,14 +53,13 @@ void Network::send(NodeId from, NodeId to, std::unique_ptr<Message> message) {
   const MessageTypeId type = message->type_id();
   const std::size_t bytes = message->wire_size();
   traffic_.record(type, bytes);
-  ++sent_;
   if (region_count_ > 1) {
     if (from.value() % region_count_ == to.value() % region_count_) {
-      ++intra_region_messages_;
-      intra_region_bytes_ += bytes;
+      ++counters_.intra_region_messages;
+      counters_.intra_region_bytes += bytes;
     } else {
-      ++cross_region_messages_;
-      cross_region_bytes_ += bytes;
+      ++counters_.cross_region_messages;
+      counters_.cross_region_bytes += bytes;
     }
   }
 
@@ -71,7 +69,6 @@ void Network::send(NodeId from, NodeId to, std::unique_ptr<Message> message) {
   if (faults_ != nullptr && faults_->active()) {
     const FaultPlane::Verdict v = faults_->on_send(from, to, type, sim_.now());
     if (v.drop) {
-      ++faulted_;
       traffic_.record_fault(type);
       if (tap_ != nullptr) {
         tap_message(from, to, *message, sim_.now(), /*faulted=*/true);
@@ -82,7 +79,7 @@ void Network::send(NodeId from, NodeId to, std::unique_ptr<Message> message) {
         latency_->latency(from, to, jitter_rng(from)) + v.extra_delay;
     if (v.duplicate) {
       if (auto copy = message->clone()) {
-        ++duplicated_;
+        ++counters_.duplicated_messages;
         schedule_delivery(from, to, type, delay + v.duplicate_lag,
                           std::move(copy));
       }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "sim/fault.hpp"
@@ -201,21 +202,14 @@ class Network {
   /// min_latency() off it to derive the conservative lookahead.
   const LatencyModel& latency_model() const { return *latency_; }
 
-  /// Folds another network's meters into this one: message counters, the
-  /// region split, and the per-type traffic ledger. Used after a sharded
-  /// run to merge the shard networks' accounting into the engine network so
+  /// Folds another network's meters into this one: the per-type traffic
+  /// ledger, deliveries and the table counters. Used after a sharded run to
+  /// merge the shard networks' accounting into the engine network so
   /// RunResult harvesting reads one place in both execution modes.
   void absorb_meters(const Network& other) {
     traffic_.merge(other.traffic_);
-    sent_ += other.sent_;
     delivered_ += other.delivered_;
-    dropped_ += other.dropped_;
-    faulted_ += other.faulted_;
-    duplicated_ += other.duplicated_;
-    intra_region_messages_ += other.intra_region_messages_;
-    cross_region_messages_ += other.cross_region_messages_;
-    intra_region_bytes_ += other.intra_region_bytes_;
-    cross_region_bytes_ += other.cross_region_bytes_;
+    counters::fold_network(counters_, other.counters_);
   }
 
   /// Attaches the cross-shard route (non-owning; must outlive the network).
@@ -249,22 +243,22 @@ class Network {
   /// keeping non-hierarchical sends on the exact historic path.
   void set_region_count(std::size_t regions) { region_count_ = regions; }
 
-  std::uint64_t intra_region_messages() const { return intra_region_messages_; }
-  std::uint64_t cross_region_messages() const { return cross_region_messages_; }
-  std::uint64_t intra_region_bytes() const { return intra_region_bytes_; }
-  std::uint64_t cross_region_bytes() const { return cross_region_bytes_; }
+  /// Duplicates put on the wire and the region split (fields:
+  /// ARIA_NETWORK_COUNTERS, common/counters.hpp).
+  struct Counters {
+    ARIA_NETWORK_COUNTERS(ARIA_COUNTER_FIELD)
+  };
+  const Counters& counters() const { return counters_; }
 
   TrafficLedger& traffic() { return traffic_; }
   const TrafficLedger& traffic() const { return traffic_; }
 
-  std::uint64_t sent_messages() const { return sent_; }
+  std::uint64_t sent_messages() const { return traffic_.total().messages; }
   std::uint64_t delivered_messages() const { return delivered_; }
   /// Organic failures only: destination unknown or down at delivery time.
-  std::uint64_t dropped_messages() const { return dropped_; }
+  std::uint64_t dropped_messages() const { return traffic_.total_drops(); }
   /// Fault-plane injections: random loss + partition blocking.
-  std::uint64_t faulted_messages() const { return faulted_; }
-  /// Extra deliveries injected by fault-plane duplication.
-  std::uint64_t duplicated_messages() const { return duplicated_; }
+  std::uint64_t faulted_messages() const { return traffic_.total_faulted(); }
 
  private:
   /// A detached slot has no handler. The handler lives on the heap so a
@@ -335,15 +329,8 @@ class Network {
   std::uint64_t tap_counter_{0};
   std::vector<NodeState> nodes_;
   std::size_t region_count_{0};
-  std::uint64_t intra_region_messages_{0};
-  std::uint64_t cross_region_messages_{0};
-  std::uint64_t intra_region_bytes_{0};
-  std::uint64_t cross_region_bytes_{0};
-  std::uint64_t sent_{0};
   std::uint64_t delivered_{0};
-  std::uint64_t dropped_{0};
-  std::uint64_t faulted_{0};
-  std::uint64_t duplicated_{0};
+  Counters counters_;
 };
 
 }  // namespace aria::sim

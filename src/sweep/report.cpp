@@ -1,5 +1,6 @@
 #include "sweep/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
@@ -55,19 +56,22 @@ void write_audit_by_kind(std::ostream& out,
   out << '}';
 }
 
-// One object per plane, counters in table order:
-// "fault":{"lost":0,...},"healing":{...},...
+// One object per plane, planes in order of first appearance and counters in
+// table order: "fault":{"lost":0,...},"healing":{...},...
 void write_counters(std::ostream& out, const counters::Values& values) {
+  const counters::Counter* t = counters::kTable;
   for (std::size_t i = 0; i < counters::kCount; ++i) {
-    const counters::Counter& c = counters::kTable[i];
-    if (i == 0 || c.plane != counters::kTable[i - 1].plane) {
-      out << (i == 0 ? "\"" : "},\"") << c.plane << "\":{";
-    } else {
-      out << ',';
+    const auto same_plane = [&](const counters::Counter& c) {
+      return c.plane == t[i].plane;
+    };
+    if (std::any_of(t, t + i, same_plane)) continue;  // already written
+    out << (i == 0 ? "\"" : ",\"") << t[i].plane << "\":{";
+    for (std::size_t j = i; j < counters::kCount; ++j) {
+      if (!same_plane(t[j])) continue;
+      out << (j == i ? "\"" : ",\"") << t[j].name << "\":" << values[j];
     }
-    out << '"' << c.name << "\":" << values[i];
+    out << '}';
   }
-  out << '}';
 }
 
 }  // namespace

@@ -75,9 +75,11 @@ bool parse_storm(std::string_view text, StormParams& out) {
 }
 
 /// "RANKS" or "RANKS@R1,R2,...": candidate ranks to target, optionally
-/// restricted to the listed regions. RANKS may be 0 (inert).
+/// restricted to the listed regions. RANKS may be 0 (inert). Replaces any
+/// earlier value, like every other non-repeatable flag.
 bool parse_target_churn(std::string_view text, std::uint32_t& ranks,
                         std::vector<std::uint32_t>& regions) {
+  regions.clear();
   const auto at = text.find('@');
   if (!parse_uint(text.substr(0, at), ranks)) return false;
   if (at == std::string_view::npos) return true;
@@ -119,13 +121,15 @@ bool parse_msg_bias(std::string_view text, sim::FaultConfig::MessageBias& out) {
   return true;
 }
 
-/// Comma-separated adversary role list. On failure returns an error message
-/// naming the offending token and its position — a role list is a little
-/// source file, and "parse error" without a location is useless at 2am.
+/// Comma-separated adversary role list, replacing any earlier one. On
+/// failure returns an error message naming the offending token and its
+/// position — a role list is a little source file, and "parse error" without
+/// a location is useless at 2am.
 std::optional<std::string> parse_adversary_roles(
     const std::string& text,
     std::vector<sim::FaultConfig::Adversary::Role>& out) {
   using Role = sim::FaultConfig::Adversary::Role;
+  out.clear();
   std::string rest = text;
   std::size_t entry = 1;
   while (true) {

@@ -395,7 +395,7 @@ void GridSimulation::submit_one(std::size_t index) {
     if (probes >= nodes_.size()) {
       ARIA_WARN << "no alive node to submit job " << job.id.to_string()
                 << "; dropping submission";
-      ++submissions_dropped_;
+      ++counters_.submissions_dropped;
       return;
     }
     pick = (pick + 1) % nodes_.size();
@@ -566,10 +566,10 @@ void GridSimulation::sample_live_connectivity() {
     disconnect_streak_ = 0;
     return;
   }
-  ++live_disconnected_samples_;
+  ++counters_.live_disconnected_samples;
   ++disconnect_streak_;
-  max_disconnect_streak_ =
-      std::max(max_disconnect_streak_, disconnect_streak_);
+  counters_.max_disconnect_streak =
+      std::max(counters_.max_disconnect_streak, disconnect_streak_);
 }
 
 // Piggybacks on the metrics sampler: the deepest local queue plus the
@@ -612,20 +612,15 @@ RunResult GridSimulation::run() {
   if (faults_) {
     r.faults_enabled = true;
     r.faults = faults_->counters();
-    r.faulted_messages = net_->faulted_messages();
-    r.duplicated_messages = net_->duplicated_messages();
   }
   for (const auto& n : nodes_) {
     counters::fold_healing(r, n->neighbor_view().stats());
     counters::fold_node(r, n->counters());
   }
-  r.submissions_dropped = submissions_dropped_;
+  counters::fold_network(r, net_->counters());
+  counters::fold_engine(r, counters_);
   if (config_.aria.healing.enabled) {
     r.healing_enabled = true;
-    r.live_disconnected_samples = live_disconnected_samples_;
-    r.max_heal_minutes =
-        static_cast<double>(max_disconnect_streak_) *
-        ScenarioConfig::kMetricsSamplePeriod.to_minutes();
     r.live_subgraph_connected_at_end = live_subgraph_connected();
   }
   if (config_.aria.overload.enabled) {
@@ -646,10 +641,6 @@ RunResult GridSimulation::run() {
   if (config_.aria.hierarchy.enabled) {
     r.hierarchy_enabled = true;
     r.region_count = config_.aria.hierarchy.region_count;
-    r.intra_region_messages = net_->intra_region_messages();
-    r.cross_region_messages = net_->cross_region_messages();
-    r.intra_region_bytes = net_->intra_region_bytes();
-    r.cross_region_bytes = net_->cross_region_bytes();
   }
   if (tracer_) {
     r.trace_enabled = true;

@@ -48,29 +48,20 @@ struct RunResult {
   metrics::Series idle_series;        // idle-node count over time
   metrics::Series node_count_series;  // grid size over time (expansion)
 
-  // --- plane counters (common/counters.hpp; docs/counters.md) -----------
+  // --- table counters (common/counters.hpp; docs/counters.md) -----------
   /// The fault table lives in its owner's struct (r.faults.lost, ...); the
-  /// healing and node tables are flat fields of the same names, summed (or
-  /// maxed) over every node.
+  /// other lists are flat fields of the same names, folded over every node
+  /// (healing, node) or copied from the run's network and engine.
   sim::FaultPlane::Counters faults{};
   ARIA_HEALING_COUNTERS(ARIA_COUNTER_FIELD)
   ARIA_NODE_COUNTERS(ARIA_COUNTER_FIELD)
+  ARIA_NETWORK_COUNTERS(ARIA_COUNTER_FIELD)
+  ARIA_ENGINE_COUNTERS(ARIA_COUNTER_FIELD)
 
-  // --- fault plane (zero / false on fault-free runs) --------------------
+  // --- fault and self-healing planes (false when off) -------------------
   bool faults_enabled{false};
-  std::uint64_t faulted_messages{0};     // injected loss + partition drops
-  std::uint64_t duplicated_messages{0};  // extra deliveries injected
-  /// Submissions that found no alive node to accept them (whole-grid
-  /// outage); these jobs never reach the tracker, so stranded() adds them.
-  std::uint64_t submissions_dropped{0};
-
-  // --- self-healing overlay plane (all zero when healing is off) --------
   bool healing_enabled{false};
-  /// Metric samples at which the live-node subgraph was disconnected.
-  std::uint64_t live_disconnected_samples{0};
-  /// Longest consecutive disconnected streak, in minutes (an upper bound on
-  /// the worst time-to-heal, quantized to the sampling period).
-  double max_heal_minutes{0.0};
+  /// Was the live-node subgraph connected at the horizon?
   bool live_subgraph_connected_at_end{true};
 
   // --- overload plane (all empty when overload is off) ------------------
@@ -83,12 +74,6 @@ struct RunResult {
   bool hierarchy_enabled{false};
   /// Resolved region count R (the engine writes auto-sizing back).
   std::size_t region_count{0};
-  /// Wire split by the sender/receiver region partition (see
-  /// sim::Network::set_region_count).
-  std::uint64_t intra_region_messages{0};
-  std::uint64_t cross_region_messages{0};
-  std::uint64_t intra_region_bytes{0};
-  std::uint64_t cross_region_bytes{0};
 
   // --- adversary + defense planes ---------------------------------------
   bool adversaries_enabled{false};
@@ -159,6 +144,13 @@ struct RunResult {
   /// REGION_QUERY + REGION_FWD).
   double region_traffic_mib() const;
 
+  /// Longest disconnected streak in minutes: an upper bound on the worst
+  /// time-to-heal, quantized to the sampling period.
+  double max_heal_minutes() const {
+    return static_cast<double>(max_disconnect_streak) *
+           ScenarioConfig::kMetricsSamplePeriod.to_minutes();
+  }
+
   /// Load-balance over executed-job counts per node (paper abstract:
   /// "improving the overall performance in terms of ... load-balancing").
   metrics::LoadBalance execution_balance() const;
@@ -189,6 +181,13 @@ class GridSimulation {
 
   /// build() + run to the horizon + collect results.
   RunResult run();
+
+  /// Submissions dropped and live-subgraph connectivity samples (fields:
+  /// ARIA_ENGINE_COUNTERS, common/counters.hpp).
+  struct Counters {
+    ARIA_ENGINE_COUNTERS(ARIA_COUNTER_FIELD)
+  };
+  const Counters& counters() const { return counters_; }
 
   // --- component access (valid after build()) ---------------------------
   sim::Simulator& simulator() { return sim_; }
@@ -307,11 +306,9 @@ class GridSimulation {
   metrics::Series queue_depth_series_;
   metrics::Series shed_series_;
   metrics::Series reject_series_;
-  std::uint64_t submissions_dropped_{0};
-  // Healing-plane sampling state (live-subgraph connectivity over time).
-  std::uint64_t live_disconnected_samples_{0};
+  Counters counters_;
+  // Healing-plane sampling: the current run of disconnected samples.
   std::uint64_t disconnect_streak_{0};
-  std::uint64_t max_disconnect_streak_{0};
   bool built_{false};
 };
 
@@ -328,6 +325,8 @@ void for_each_counter(R& r, F&& f) {
   ARIA_FAULT_COUNTERS(ARIA_VISIT_FAULT)
   ARIA_HEALING_COUNTERS(ARIA_VISIT)
   ARIA_NODE_COUNTERS(ARIA_VISIT)
+  ARIA_NETWORK_COUNTERS(ARIA_VISIT)
+  ARIA_ENGINE_COUNTERS(ARIA_VISIT)
 #undef ARIA_VISIT
 #undef ARIA_VISIT_FAULT
 }

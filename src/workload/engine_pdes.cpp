@@ -323,15 +323,8 @@ std::string run_fingerprint(const RunResult& r) {
   for (std::size_t i = 0; i < counters::kCount; ++i) {
     os << "counter " << counters::kTable[i].name << " " << values[i] << "\n";
   }
-  os << "faulted_messages " << r.faulted_messages << " duplicated "
-     << r.duplicated_messages << " submissions_dropped "
-     << r.submissions_dropped << "\n";
-  os << "healing_extras " << r.live_disconnected_samples << " "
-     << fp_double(r.max_heal_minutes) << " "
-     << r.live_subgraph_connected_at_end << "\n";
-  os << "region_wire " << r.region_count << " " << r.intra_region_messages
-     << " " << r.cross_region_messages << " " << r.intra_region_bytes << " "
-     << r.cross_region_bytes << "\n";
+  os << "connected_at_end " << r.live_subgraph_connected_at_end
+     << " region_count " << r.region_count << "\n";
   os << "adversary_count " << r.adversary_count << "\n";
   return os.str();
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sweep/report.hpp"
+#include "workload/cli.hpp"
 #include "workload/engine.hpp"
 #include "workload/scenario.hpp"
 
@@ -65,6 +66,13 @@ std::string cell(const std::pair<std::vector<std::string>,
   return row[static_cast<std::size_t>(it - header.begin())];
 }
 
+std::string quoted(std::string_view text) {
+  std::string out{"\""};
+  out += text;
+  out += '"';
+  return out;
+}
+
 TEST(CounterTable, NamesAreUniqueAcrossAllLists) {
   std::set<std::string_view> names;
   for (const counters::Counter& c : kTable) {
@@ -73,14 +81,34 @@ TEST(CounterTable, NamesAreUniqueAcrossAllLists) {
   EXPECT_EQ(names.size(), kCount);
 }
 
-TEST(CounterTable, PlanesAreContiguous) {
-  // summary.json emits one object per plane by walking the table once.
-  std::set<std::string_view> closed;
-  for (std::size_t i = 1; i < kCount; ++i) {
-    if (kTable[i].plane != kTable[i - 1].plane) {
-      closed.insert(kTable[i - 1].plane);
-      EXPECT_FALSE(closed.contains(kTable[i].plane)) << kTable[i].name;
+TEST(CounterTable, SummaryJsonHasOneObjectPerPlane) {
+  // A plane's entries may span owner lists (fault entries sit in the fault,
+  // network and engine lists); summary.json still gives each plane one
+  // object holding exactly its entries.
+  sweep::RunSpec spec;
+  spec.label = "row";
+  spec.config.name = "table";
+  std::ostringstream out;
+  sweep::SweepReport::build({spec}, {RunResult{}}).write_json(out);
+  const std::string json = out.str();
+  std::set<std::string_view> planes;
+  for (const counters::Counter& c : kTable) planes.insert(c.plane);
+  for (const std::string_view plane : planes) {
+    const std::string key = quoted(plane) + ":{";
+    const auto at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << plane;
+    EXPECT_EQ(json.find(key, at + 1), std::string::npos) << plane;
+    const std::string object = json.substr(at, json.find('}', at) - at);
+    std::ptrdiff_t entries = 0;
+    for (const counters::Counter& c : kTable) {
+      if (c.plane != plane) continue;
+      ++entries;
+      EXPECT_NE(object.find(quoted(c.name) + ":0"), std::string::npos)
+          << c.name;
     }
+    // One ':' after the plane key, then one per entry.
+    EXPECT_EQ(std::count(object.begin(), object.end(), ':'), 1 + entries)
+        << plane;
   }
 }
 
@@ -118,6 +146,13 @@ TEST(CounterTable, EveryEntryReachesFingerprintCsvAndJson) {
   }
 }
 
+#define ARIA_COUNTER_NAME(plane, name, agg, doc) #name,
+/// The fault plane's own list (the fault *plane* also has network and
+/// engine entries, which FaultPlane::Counters does not carry).
+const std::set<std::string_view> kFaultList = {
+    ARIA_FAULT_COUNTERS(ARIA_COUNTER_NAME)};
+#undef ARIA_COUNTER_NAME
+
 TEST(CounterTable, FaultAbsorbFoldsByAgg) {
   RunResult a, b;
   std::size_t i = 0;
@@ -131,12 +166,36 @@ TEST(CounterTable, FaultAbsorbFoldsByAgg) {
   a.faults.absorb(b.faults);
   const counters::Values folded = workload::counter_values(a);
   for (std::size_t k = 0; k < kCount; ++k) {
-    if (kTable[k].plane != "fault") continue;
+    if (!kFaultList.contains(kTable[k].name)) {
+      EXPECT_EQ(folded[k], va[k]) << kTable[k].name;  // left alone
+      continue;
+    }
     const std::uint64_t expected = kTable[k].agg == Agg::max
                                        ? std::max(va[k], vb[k])
                                        : va[k] + vb[k];
     EXPECT_EQ(folded[k], expected) << kTable[k].name;
   }
+}
+
+/// The run's table counters as their owners hold them: the fault plane's,
+/// every node's healing and node counters folded entry by entry, and the
+/// network's and the engine's.
+counters::Values from_owners(workload::GridSimulation& sim) {
+  counters::Values expected{};
+  for (const proto::AriaNode* n : sim.all_nodes()) {
+    RunResult one;  // this node's values alone, via the owners' fields
+    counters::fold_healing(one, n->neighbor_view().stats());
+    counters::fold_node(one, n->counters());
+    counters::fold(expected, workload::counter_values(one));
+  }
+  RunResult run;
+  if (const sim::FaultPlane* plane = sim.network().fault_plane()) {
+    run.faults = plane->counters();
+  }
+  counters::fold_network(run, sim.network().counters());
+  counters::fold_engine(run, sim.counters());
+  counters::fold(expected, workload::counter_values(run));
+  return expected;
 }
 
 TEST(CounterTable, HarvestFoldsNodeCountersByAgg) {
@@ -151,22 +210,68 @@ TEST(CounterTable, HarvestFoldsNodeCountersByAgg) {
   workload::GridSimulation sim{cfg, 7};
   const RunResult r = sim.run();
 
-  counters::Values expected{};
-  std::uint64_t peak_sum = 0;
-  for (const proto::AriaNode* n : sim.all_nodes()) {
-    RunResult one;  // this node's values alone, via the owners' fields
-    counters::fold_healing(one, n->neighbor_view().stats());
-    counters::fold_node(one, n->counters());
-    counters::fold(expected, workload::counter_values(one));
-    peak_sum += n->counters().peak_queue_depth;
-  }
+  const counters::Values expected = from_owners(sim);
   const counters::Values got = workload::counter_values(r);
   for (std::size_t k = 0; k < kCount; ++k) {
-    if (kTable[k].plane == "fault") continue;
     EXPECT_EQ(got[k], expected[k]) << kTable[k].name;
+  }
+  std::uint64_t peak_sum = 0;
+  for (const proto::AriaNode* n : sim.all_nodes()) {
+    peak_sum += n->counters().peak_queue_depth;
   }
   EXPECT_GT(peak_sum, r.peak_queue_depth);  // max, not sum
   EXPECT_GT(r.accepts_sent, 0u);
+}
+
+TEST(CounterTable, HarvestCopiesNetworkAndEngineCounters) {
+  // Two regions and injected duplicates feed the network's meters. A
+  // whole-grid outage from minute 19 to 22 (submissions start at 20), then
+  // only the even-numbered half of the grid alive until minute 30, feeds
+  // the engine's.
+  workload::CliOptions options;
+  ASSERT_FALSE(workload::parse_cli({"--nodes", "30", "--jobs", "40",
+                                    "--horizon", "300", "--hierarchy",
+                                    "--regions", "2", "--healing", "--churn",
+                                    "--dup", "0.02", "--seed", "1"},
+                                   options)
+                   .has_value());
+  workload::GridSimulation sim{workload::resolve_scenario(options),
+                               options.seed};
+  sim.build();
+  const auto at_minute = [&](int minute, auto action) {
+    sim.simulator().schedule_at(
+        TimePoint::origin() + Duration::minutes(minute), [&sim, action] {
+          for (proto::AriaNode* n : sim.all_nodes()) action(*n);
+        });
+  };
+  at_minute(19, [](proto::AriaNode& n) {
+    if (!n.crashed()) n.crash();
+  });
+  at_minute(22, [](proto::AriaNode& n) {
+    if (n.crashed() && n.id().value() % 2 == 0) n.restart();
+  });
+  at_minute(30, [](proto::AriaNode& n) {
+    if (n.crashed()) n.restart();
+  });
+  const RunResult r = sim.run();
+
+  const counters::Values expected = from_owners(sim);
+  const counters::Values got = workload::counter_values(r);
+  for (std::size_t k = 0; k < kCount; ++k) {
+    EXPECT_EQ(got[k], expected[k]) << kTable[k].name;
+  }
+  const sim::Network::Counters& net = sim.network().counters();
+  EXPECT_GT(net.duplicated_messages, 0u);
+  EXPECT_GT(net.intra_region_messages, 0u);
+  EXPECT_GT(net.intra_region_bytes, 0u);
+  EXPECT_GT(net.cross_region_messages, 0u);
+  EXPECT_GT(net.cross_region_bytes, 0u);
+  EXPECT_EQ(r.duplicated_messages, r.faults.duplicated);
+  EXPECT_GT(sim.counters().submissions_dropped, 0u);
+  EXPECT_GT(sim.counters().live_disconnected_samples, 0u);
+  EXPECT_GT(sim.counters().max_disconnect_streak, 0u);
+  EXPECT_EQ(r.max_heal_minutes(),
+            static_cast<double>(r.max_disconnect_streak));  // 1-min samples
 }
 
 /// The table as docs/counters.md carries it between its markers.

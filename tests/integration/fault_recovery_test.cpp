@@ -176,7 +176,7 @@ TEST(FaultRecovery, DuplicatedAssignIsIdempotent) {
   ASSERT_NE(rec, nullptr);
   EXPECT_TRUE(rec->done());
   EXPECT_EQ(rec->assignments.size(), 1u);
-  EXPECT_GT(g.net().duplicated_messages(), 0u);
+  EXPECT_GT(g.net().counters().duplicated_messages, 0u);
   EXPECT_TRUE(g.tracker.violations().empty());
 }
 
@@ -210,8 +210,8 @@ TEST(FaultRecovery, LossAndChurnLeaveNoJobStranded) {
   EXPECT_GT(r.faults.lost, 0u);
   EXPECT_GT(r.faults.crashes, 0u);
   EXPECT_GE(r.faults.crashes, r.faults.restarts);
-  // Counter reconciliation: network tallies == plane schedule.
-  EXPECT_EQ(r.faulted_messages, r.faults.injected_drops());
+  // Counter reconciliation: wire tallies == plane schedule.
+  EXPECT_EQ(r.traffic.total_faulted(), r.faults.injected_drops());
   EXPECT_EQ(r.duplicated_messages, r.faults.duplicated);
   // The headline guarantee: every submitted job reached a terminal state.
   EXPECT_EQ(r.stranded(), 0u);

@@ -53,7 +53,7 @@ TEST(Healing, ChurnEvictsRepairsAndReconverges) {
   // The headline guarantee: the live-node subgraph reconverged, and any
   // disconnection window was bounded by a handful of probe periods.
   EXPECT_TRUE(r.live_subgraph_connected_at_end);
-  EXPECT_LE(r.max_heal_minutes, 60.0);
+  EXPECT_LE(r.max_heal_minutes(), 60.0);
   EXPECT_EQ(r.stranded(), 0u);
   EXPECT_TRUE(r.tracker.violations().empty());
 }

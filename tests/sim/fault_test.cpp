@@ -238,7 +238,7 @@ TEST(NetworkFaults, DuplicationDeliversTwiceAndLagsTheCopy) {
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0], TimePoint::origin() + 10_ms);
   EXPECT_GT(deliveries[1], deliveries[0]);
-  EXPECT_EQ(net->duplicated_messages(), 1u);
+  EXPECT_EQ(net->counters().duplicated_messages, 1u);
   EXPECT_EQ(net->delivered_messages(), 2u);
   // The metered send count stays 1: duplication is a delivery artifact.
   EXPECT_EQ(net->traffic().of("CLONEABLE").messages, 1u);
@@ -260,7 +260,7 @@ TEST(NetworkFaults, NonCloneableMessagesAreNeverDuplicated) {
   sim.run();
 
   EXPECT_EQ(received, 1);
-  EXPECT_EQ(net->duplicated_messages(), 0u);
+  EXPECT_EQ(net->counters().duplicated_messages, 0u);
 }
 
 TEST(NetworkFaults, SpikeDelaysDelivery) {

@@ -447,6 +447,30 @@ TEST(Cli, ParsesAdversaryFlags) {
   EXPECT_TRUE(o.any_faults());  // adversaries arm the fault plane
 }
 
+TEST(Cli, RepeatedListFlagsKeepTheLastOccurrence) {
+  // Like every scalar flag, a repeated --target-churn or --adversary-roles
+  // replaces the earlier value instead of merging with it.
+  CliOptions o;
+  ASSERT_FALSE(
+      parse_cli({"--target-churn", "2@1", "--target-churn", "3"}, o)
+          .has_value());
+  EXPECT_EQ(o.target_churn_ranks, 3u);
+  EXPECT_TRUE(o.target_churn_regions.empty());
+  ASSERT_FALSE(
+      parse_cli({"--target-churn", "2@1,3", "--target-churn", "2@4"}, o)
+          .has_value());
+  EXPECT_EQ(o.target_churn_regions, (std::vector<std::uint32_t>{4}));
+
+  CliOptions a;
+  ASSERT_FALSE(parse_cli({"--adversary-roles", "underbid",
+                          "--adversary-roles", "poison"},
+                         a)
+                   .has_value());
+  EXPECT_EQ(a.adversary_roles,
+            (std::vector<sim::FaultConfig::Adversary::Role>{
+                sim::FaultConfig::Adversary::Role::kPoison}));
+}
+
 TEST(Cli, BadAdversaryRoleNamesTheOffendingToken) {
   CliOptions o;
   const auto err =

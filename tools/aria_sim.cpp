@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
     rejected += r.tracker.rejected_incomplete_count();
     probe_mib += r.probe_traffic_mib();
     region_mib += r.region_traffic_mib();
-    max_heal = std::max(max_heal, r.max_heal_minutes);
+    max_heal = std::max(max_heal, r.max_heal_minutes());
     end_connected = end_connected && r.live_subgraph_connected_at_end;
   }
   const auto add = [&]<class T>(T RunResult::*field) {
@@ -189,14 +189,11 @@ int main(int argc, char** argv) {
   if (cfg.faults.enabled) {
     block("fault", "",
           {{"failsafe_recoveries", str(recoveries)},
-           {"jobs_abandoned", str(abandoned)},
-           {"submissions_dropped", sum(&RunResult::submissions_dropped)}});
+           {"jobs_abandoned", str(abandoned)}});
   }
   if (cfg.aria.healing.enabled) {
     block("healing", "",
           {{"probe_traffic_mib", metrics::Table::num(probe_mib, 2)},
-           {"live_disconnected_samples",
-            sum(&RunResult::live_disconnected_samples)},
            {"max_heal_minutes", metrics::Table::num(max_heal, 1)},
            {"connected_at_end", end_connected ? "yes" : "NO"}});
   }
@@ -205,11 +202,7 @@ int main(int argc, char** argv) {
   }
   if (cfg.aria.hierarchy.enabled && !results.empty()) {
     block("hierarchy", ", " + str(results.front().region_count) + " regions",
-          {{"region_traffic_mib", metrics::Table::num(region_mib, 2)},
-           {"intra_region_messages", sum(&RunResult::intra_region_messages)},
-           {"intra_region_bytes", sum(&RunResult::intra_region_bytes)},
-           {"cross_region_messages", sum(&RunResult::cross_region_messages)},
-           {"cross_region_bytes", sum(&RunResult::cross_region_bytes)}});
+          {{"region_traffic_mib", metrics::Table::num(region_mib, 2)}});
   }
   if (!results.empty() && results.front().adversaries_enabled) {
     block("adversary",
